@@ -148,8 +148,8 @@ class QuadraticSegment:
 
     def integral(self, u: float, v: float) -> float:
         """Exact integral of the parabola from u to v."""
-        anti = lambda t: ((self.a / 3.0 * t + self.b / 2.0) * t + self.c) * t
-        return anti(v) - anti(u)
+        a3, b2, c = self.a / 3.0, self.b / 2.0, self.c
+        return ((a3 * v + b2) * v + c) * v - ((a3 * u + b2) * u + c) * u
 
     def average(self) -> float:
         """Mean value of the segment over its own bounds."""
@@ -295,6 +295,12 @@ class PiecewisePoly:
     ENDPOINT_SECANT and PURE_LAGRANGE modes both sides agree there anyway;
     in TRAILING_SECANT mode the left-owner rule keeps evaluation deterministic
     across the jump.
+
+    Construction costs O(m) for m segments; it caches the segments' upper
+    bounds and the running sum of whole-segment integrals, so ``evaluate``,
+    ``derivative_at`` and ``integral`` cost O(log m) per call.  The caches
+    are plain attributes, not fields, so equality, ``repr`` and hashing see
+    only ``segments`` and ``mode``.
     """
 
     segments: tuple[QuadraticSegment, ...]
@@ -309,6 +315,12 @@ class PiecewisePoly:
                 raise NonMonotonicX(
                     f"segment domains must be contiguous ({left.hi} != {right.lo})"
                 )
+        # _prefix[i] is the integral over segments 0 .. i-1.
+        prefix = [0.0]
+        for seg in self.segments:
+            prefix.append(prefix[-1] + seg.integral(seg.lo, seg.hi))
+        object.__setattr__(self, "_his", [seg.hi for seg in self.segments])
+        object.__setattr__(self, "_prefix", prefix)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -320,13 +332,13 @@ class PiecewisePoly:
         return tuple(seg.hi for seg in self.segments[:-1])
 
     def _segment_index(self, x: float) -> int:
-        lo, hi = self.domain
-        if not (lo <= x <= hi):
+        his = self._his
+        if not (self.segments[0].lo <= x <= his[-1]):
+            lo, hi = self.domain
             raise OutOfDomain(f"x = {x} outside [{lo}, {hi}]")
         # bisect on segment upper bounds: at a shared knot the left segment
-        # (whose hi equals x) wins.
-        his = [seg.hi for seg in self.segments]
-        return min(bisect_left(his, x), len(his) - 1)
+        # (whose hi equals x) wins.  x <= his[-1], so the index is in range.
+        return bisect_left(his, x)
 
     def segment_at(self, x: float) -> QuadraticSegment:
         return self.segments[self._segment_index(x)]
@@ -348,19 +360,24 @@ class PiecewisePoly:
         return left, right
 
     def integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b] via per-segment antiderivatives."""
-        lo, hi = self.domain
+        """Exact integral over [a, b]: the partial segments holding a and b
+        plus the cached whole-segment integrals between them.
+
+        Raises OutOfDomain for inverted, outside or NaN bounds.
+        """
         if a > b:
             raise OutOfDomain(f"inverted bounds [{a}, {b}]")
-        if a < lo or b > hi:
+        lo, hi = self.domain
+        if not (lo <= a and b <= hi):
             raise OutOfDomain(f"[{a}, {b}] outside [{lo}, {hi}]")
-        total = 0.0
-        for seg in self.segments:
-            u = max(a, seg.lo)
-            v = min(b, seg.hi)
-            if u < v:
-                total += seg.integral(u, v)
-        return total
+        i = bisect_left(self._his, a)
+        j = bisect_left(self._his, b)
+        first = self.segments[i]
+        if i == j:
+            return first.integral(a, b)
+        last = self.segments[j]
+        return (first.integral(a, first.hi) + (self._prefix[j] - self._prefix[i + 1])
+                + last.integral(last.lo, b))
 
 
 def self_similar_next(seg: QuadraticSegment) -> tuple[float, float, float]:

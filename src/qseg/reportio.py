@@ -14,6 +14,8 @@ import math
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from .accuracy import AccuracyReport, ReferenceFn
 from .classify import ProfileClassification
 from .errors import NonMonotonicX, ParseError
@@ -89,32 +91,35 @@ def emit_plot_data(pw: PiecewisePoly, path: PathLike,
 
     Knot rows where the adjacent segments disagree (trailing-secant jumps) are
     written twice, once per side, so plots can show the discontinuity.
+
+    The file is the CSV ``csv.writer`` would write (CRLF line ends; ``repr``
+    floats never need quoting).  A segment's dense x and F values come from
+    one numpy pass in the scalar operation order, so they are bit-identical
+    to ``seg.value(x)``; each segment's rows go out in one write.
     """
+    fn = ref.fn if ref else None
+
+    def rows(xs: list, values: list, tail: str) -> list:
+        if fn:
+            return [f"{x!r},{v!r},{float(fn(x))!r}{tail}" for x, v in zip(xs, values)]
+        return [f"{x!r},{v!r}{tail}" for x, v in zip(xs, values)]
+
+    step_count = PLOT_POINTS_PER_SEGMENT
+    steps = np.arange(step_count, dtype=float)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = ["x", "F"] + (["G"] if ref else []) + ["segment_index", "is_knot"]
-        writer.writerow(header)
-
-        def row(x: float, value: float, index: int, is_knot: int) -> None:
-            cells = [repr(x), repr(value)]
-            if ref:
-                cells.append(repr(float(ref.fn(x))))
-            cells += [index, is_knot]
-            writer.writerow(cells)
-
-        step_count = PLOT_POINTS_PER_SEGMENT
+        handle.write("x,F," + ("G," if fn else "") + "segment_index,is_knot\r\n")
         for i, seg in enumerate(pw.segments):
-            width = seg.hi - seg.lo
-            for j in range(step_count):
-                x = seg.lo + width * j / (step_count - 1)
-                row(x, seg.value(x), i, 0)
+            xs = seg.lo + (seg.hi - seg.lo) * steps / (step_count - 1)
+            values = (seg.a * xs + seg.b) * xs + seg.c
+            lines = rows(xs.tolist(), values.tolist(), f",{i},0\r\n")
             if i + 1 < len(pw.segments):
                 knot = seg.hi
                 left = seg.value(knot)
                 right = pw.segments[i + 1].value(knot)
-                row(knot, left, i, 1)
+                lines += rows([knot], [left], f",{i},1\r\n")
                 if abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left)):
-                    row(knot, right, i + 1, 1)
+                    lines += rows([knot], [right], f",{i + 1},1\r\n")
+            handle.write("".join(lines))
 
 
 # --- JSON documents -------------------------------------------------------

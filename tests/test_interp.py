@@ -1,9 +1,13 @@
 """Unit tests for segment construction, evaluation, and calculus."""
 
+import itertools
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qseg.errors import (
     DegenerateNodes,
@@ -326,6 +330,9 @@ class TestIntegral:
             pw.integral(0, 16)
         with pytest.raises(OutOfDomain):
             pw.integral(32, 16)
+        for a, b in ((math.nan, 20), (20, math.nan), (math.nan, math.nan)):
+            with pytest.raises(OutOfDomain):
+                pw.integral(a, b)
 
     def test_matches_segment_average_sum(self):
         pw = build_piecewise(log2_series(), BlendMode.ENDPOINT_SECANT)
@@ -457,3 +464,104 @@ class TestNodesFromBounds:
             nodes_from_bounds([1])
         with pytest.raises(NonMonotonicX):
             nodes_from_bounds([1, 1])
+
+
+# --- the indexed model against a linear scan --------------------------------
+#
+# The oracle answers each query the direct O(m) way: rebuild the bound list
+# and bisect it, and sum the clipped integral of every segment.
+
+def oracle_index(pw, x):
+    lo, hi = pw.domain
+    if not (lo <= x <= hi):
+        raise OutOfDomain(f"x = {x} outside [{lo}, {hi}]")
+    his = [seg.hi for seg in pw.segments]
+    return min(bisect_left(his, x), len(his) - 1)
+
+
+def oracle_derivative(pw, x):
+    i = oracle_index(pw, x)
+    left = right = pw.segments[i].derivative(x)
+    if i + 1 < len(pw.segments) and x == pw.segments[i].hi:
+        right = pw.segments[i + 1].derivative(x)
+    return left, right
+
+
+def oracle_segment_integral(seg, u, v):
+    anti = lambda t: ((seg.a / 3.0 * t + seg.b / 2.0) * t + seg.c) * t
+    return anti(v) - anti(u)
+
+
+def oracle_integral(pw, a, b):
+    lo, hi = pw.domain
+    if a > b:
+        raise OutOfDomain(f"inverted bounds [{a}, {b}]")
+    if a < lo or b > hi:
+        raise OutOfDomain(f"[{a}, {b}] outside [{lo}, {hi}]")
+    total = 0.0
+    for seg in pw.segments:
+        u = max(a, seg.lo)
+        v = min(b, seg.hi)
+        if u < v:
+            total += oracle_segment_integral(seg, u, v)
+    return total
+
+
+@st.composite
+def models_and_points(draw):
+    """A model of 1..40 segments over random contiguous bounds, and its
+    query points: every knot, both domain ends and random interior points."""
+    m = draw(st.integers(1, 40))
+    start = draw(st.floats(-100, 100))
+    widths = draw(st.lists(st.floats(0.01, 10), min_size=m, max_size=m))
+    bounds = list(itertools.accumulate(widths, initial=start))
+    xs = nodes_from_bounds(bounds)
+    ys = draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False),
+                       min_size=len(xs), max_size=len(xs)))
+    pw = build_piecewise(SampleSeries.from_arrays(xs, ys), draw(st.sampled_from(BlendMode)))
+    lo, hi = pw.domain
+    fractions = draw(st.lists(st.floats(0, 1), max_size=10))
+    points = [seg.lo for seg in pw.segments] + [hi]
+    points += [min(lo + f * (hi - lo), hi) for f in fractions]
+    return pw, sorted(points)
+
+
+QUERY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestIndexedModelMatchesLinearScan:
+    @QUERY_SETTINGS
+    @given(models_and_points())
+    def test_queries_match_oracle(self, case):
+        pw, points = case
+        for x in points:
+            assert pw._segment_index(x) == oracle_index(pw, x)
+            assert pw.evaluate(x) == pw.segments[oracle_index(pw, x)].value(x)
+            assert pw.derivative_at(x) == oracle_derivative(pw, x)
+        whole = [seg.integral(seg.lo, seg.hi) for seg in pw.segments]
+        assert whole == [oracle_segment_integral(s, s.lo, s.hi) for s in pw.segments]
+        tol = 1e-12 * max(abs(v) for v in whole) * len(pw.segments)
+        # every ordered pair, so a = b at a knot and a at a segment's right
+        # end are both covered
+        for a, b in itertools.combinations_with_replacement(points, 2):
+            assert abs(pw.integral(a, b) - oracle_integral(pw, a, b)) <= tol
+
+    @QUERY_SETTINGS
+    @given(models_and_points(), st.floats(1e-6, 1e3))
+    def test_bad_bounds_raise(self, case, beyond):
+        pw, points = case
+        lo, hi = pw.domain
+        mid = points[len(points) // 2]
+        outside = [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+                   lo - beyond, hi + beyond, math.nan, math.inf, -math.inf]
+        for x in outside:
+            with pytest.raises(OutOfDomain):
+                pw.evaluate(x)
+            with pytest.raises(OutOfDomain):
+                pw.derivative_at(x)
+        bad = [(hi, lo), (lo - beyond, mid), (mid, hi + beyond), (-math.inf, math.inf)]
+        bad += [(x, mid) for x in (math.nan, math.inf)] + [(mid, x) for x in (math.nan, -math.inf)]
+        bad.append((math.nan, math.nan))
+        for a, b in bad:
+            with pytest.raises(OutOfDomain):
+                pw.integral(a, b)

@@ -19,6 +19,8 @@ from qseg.interp import (
 from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile
 from qseg.reportio import (
     FORMAT_VERSION,
+    KNOT_MATCH_TOL,
+    PLOT_POINTS_PER_SEGMENT,
     approx_document,
     dump_document,
     emit_plot_data,
@@ -127,6 +129,64 @@ class TestPlotData:
         knot_rows = [r for r in self.read_rows(path) if r["is_knot"] == "1"]
         assert len(knot_rows) == 2
         assert {r["segment_index"] for r in knot_rows} == {"0", "1"}
+
+
+def reference_plot_data(pw, path, ref=None):
+    """The row-at-a-time ``csv.writer`` plot emitter; ``emit_plot_data``
+    must write exactly its bytes."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        header = ["x", "F"] + (["G"] if ref else []) + ["segment_index", "is_knot"]
+        writer.writerow(header)
+
+        def row(x, value, index, is_knot):
+            cells = [repr(x), repr(value)]
+            if ref:
+                cells.append(repr(float(ref.fn(x))))
+            cells += [index, is_knot]
+            writer.writerow(cells)
+
+        step_count = PLOT_POINTS_PER_SEGMENT
+        for i, seg in enumerate(pw.segments):
+            width = seg.hi - seg.lo
+            for j in range(step_count):
+                x = seg.lo + width * j / (step_count - 1)
+                row(x, seg.value(x), i, 0)
+            if i + 1 < len(pw.segments):
+                knot = seg.hi
+                left = seg.value(knot)
+                right = pw.segments[i + 1].value(knot)
+                row(knot, left, i, 1)
+                if abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left)):
+                    row(knot, right, i + 1, 1)
+
+
+class TestPlotBytes:
+    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("segments", [1, 3, 129])
+    @pytest.mark.parametrize("mode", list(BlendMode))
+    def test_matches_reference_writer(self, tmp_path, mode, segments, with_ref):
+        ref = NAMED_REFERENCES["cospix"] if with_ref else None
+        bounds = np.linspace(0.0, 1.5, segments + 1)
+        pw = build_piecewise(sample_function(NAMED_REFERENCES["cospix"].fn, nodes_from_bounds(bounds)), mode)
+        emit_plot_data(pw, tmp_path / "plot.csv", ref)
+        reference_plot_data(pw, tmp_path / "reference.csv", ref)
+        assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_jumping_knots_match_reference_writer(self, tmp_path, with_ref):
+        # trailing-secant on a cubic jumps at every knot, so every knot row
+        # is written twice
+        ref = NAMED_REFERENCES["exp2"] if with_ref else None
+        pw = build_piecewise(
+            sample_function(lambda x: x ** 3, nodes_from_bounds(np.linspace(0.0, 8.0, 9))),
+            BlendMode.TRAILING_SECANT,
+        )
+        emit_plot_data(pw, tmp_path / "plot.csv", ref)
+        reference_plot_data(pw, tmp_path / "reference.csv", ref)
+        written = (tmp_path / "plot.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.count(b",1\r\n") == 2 * (len(pw.segments) - 1)
 
 
 class TestDocuments:
