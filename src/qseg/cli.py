@@ -32,6 +32,7 @@ from .classify import (
 from .errors import QsegError
 from .interp import BlendMode, build_piecewise, nodes_from_bounds, sample_function
 from .profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
+from .targets import batch_scale
 
 MODE_CHOICES = [m.value for m in BlendMode]
 
@@ -205,6 +206,8 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
         "mode": mode.value,
         "grids": {name: list(grid) for name, grid in grids.items()},
     }
+    if target.builtin is not None:
+        config["batch_scale"] = batch_scale()
     reportio.dump_document(
         reportio.profile_document(profile, config, validation=validation), args.out
     )

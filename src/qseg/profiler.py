@@ -28,7 +28,7 @@ from .targets import BUILTIN_TARGETS, ArgSpec, BuiltinTarget
 
 log = logging.getLogger(__name__)
 
-#: Aggregated times under 100x the clock's stated resolution get a warning.
+#: Aggregated times under 100x the measured clock step get a warning.
 RESOLUTION_MARGIN = 100
 
 #: A difference curve counts as constant when its max-min spread stays under
@@ -58,8 +58,9 @@ def effective_clock_tick() -> float:
     """Measured granularity of the process-CPU clock.
 
     Kernels that account CPU in jiffies advance the clock in ~1-10ms steps
-    regardless of the advertised nanosecond resolution; noise floors must
-    use the real step.  Measured once and cached.
+    regardless of the advertised nanosecond resolution; noise floors and
+    the builtin targets' batch sizes (``targets.batch_scale``) must use the
+    real step.  Measured once and cached.
     """
     global _effective_tick
     if _effective_tick is None:
@@ -227,7 +228,6 @@ class RuntimeProfile:
     target: TargetSpec
     profiles: tuple[VariableProfile, ...]
     interactions: tuple[InteractionLabel, ...]
-    k_hint: Optional[float] = None
 
 
 def integer_grid(lo: int, hi: int, points: int) -> list[int]:
@@ -331,10 +331,10 @@ def _synthetic_sample(target: TargetSpec, args: dict[str, int]) -> TimingSample:
 def _finalize_sample(target: TargetSpec, args: dict[str, int], cfg: MeasureConfig,
                      times: list[float], clock: str) -> TimingSample:
     cpu_seconds, dispersion = _aggregate(cfg, times)
-    if 0.0 <= cpu_seconds < RESOLUTION_MARGIN * _cpu_clock_resolution():
+    if 0.0 <= cpu_seconds < RESOLUTION_MARGIN * effective_clock_tick():
         warnings.warn(
             f"{target.name} at {args}: {cpu_seconds:.3e}s is within "
-            f"{RESOLUTION_MARGIN}x of clock resolution",
+            f"{RESOLUTION_MARGIN}x of the clock step",
             TimerResolutionWarning,
             stacklevel=3,
         )
@@ -457,26 +457,6 @@ def detect_interaction(target: TargetSpec, var_a: str, var_b: str,
         evidence = max(evidence, float(np.max(diff) - np.min(diff)))
     label = "additive" if evidence <= threshold else "composite"
     return InteractionLabel((var_a, var_b), label, evidence, threshold)
-
-
-def pairwise_sweep(target: TargetSpec, pair: tuple[str, str], base: dict[str, int],
-                   increment: int, steps: int, grid_a: Sequence[int],
-                   cfg: MeasureConfig) -> list[SweepResult]:
-    """Sweep the pair's first variable once per incremented value of the
-    second: base, base+i, base+2i, ...  Returns the curve family used to
-    characterize how the second variable transforms the first's curve."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    if increment <= 0:
-        raise ValueError("increment must be positive")
-    var_a, var_b = pair
-    start = int(base[var_b])
-    results = []
-    for step in range(steps):
-        fixed = {n: int(v) for n, v in base.items() if n != var_a}
-        fixed[var_b] = start + step * increment
-        results.append(sweep_single(target, var_a, grid_a, fixed, cfg))
-    return results
 
 
 def _first_pass_constant(spec: ArgSpec, grid: Sequence[int]) -> int:

@@ -238,7 +238,6 @@ def profile_document(profile: RuntimeProfile, config: dict,
             }
             for label in profile.interactions
         ],
-        "k_hint": profile.k_hint,
         "classification": classification_to_json(classification) if classification else None,
         "validation": validation,
     }

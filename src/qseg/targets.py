@@ -2,8 +2,16 @@
 
 Each target splits into an untimed ``setup`` (deterministic input-data
 generation from a seeded RNG) and a timed ``run`` over the prepared
-payload.  Workloads batch enough inner iterations to sit comfortably above
-clock resolution while keeping their cost shape in the swept variables.
+payload.  A run repeats its inner work in a batch so that it spans many
+steps of the CPU clock while keeping its cost shape in the swept
+variables.
+
+The batch constants below were sized for coarse clocks (1-10ms steps).
+``setup`` multiplies them by :func:`batch_scale`, a power of two derived
+from the measured clock step: 1 on coarse clocks, down to 1/8 on clocks
+that step in microseconds.  The scale is the same for every target and
+every run in a process, so the grids, the run counts and the seeds of a
+profile do not depend on it; only the work inside one run does.
 """
 
 from __future__ import annotations
@@ -73,6 +81,35 @@ class ArgSpec:
     grid_scale: str = "linear"  # "linear" | "geometric"
 
 
+#: Clock step from which batches stay at their full size.  Merge-sort at
+#: x = 64, the cheapest default-grid run of any builtin, takes 0.8-1.75ms
+#: at full batch on a 2.1GHz Xeon, 50-110 steps of a 16us clock; a smaller
+#: batch would put it further under the profiler's 100-step warning margin.
+FULL_BATCH_TICK = 16e-6
+
+#: Smallest scale whose verdicts were checked against full batches.  Without
+#: it a clock measured at 0.9-1.6us would give 1/16 in some processes and
+#: 1/8 in others.
+MIN_BATCH_SCALE = 1 / 8
+
+
+def batch_scale() -> float:
+    """Power of two that sizes every builtin target's batches.
+
+    ``min(1, max(1/8, 2 ** ceil(log2(tick / 16us))))`` where ``tick`` is the
+    measured step of the process-CPU clock.  The step is measured once per
+    process, so the scale is too.
+    """
+    from .profiler import effective_clock_tick  # profiler imports this module
+
+    exponent = math.ceil(math.log2(effective_clock_tick() / FULL_BATCH_TICK))
+    return min(1.0, max(MIN_BATCH_SCALE, 2.0 ** exponent))
+
+
+def _scaled(batch: int) -> int:
+    return max(1, round(batch * batch_scale()))
+
+
 @dataclass(frozen=True)
 class BuiltinTarget:
     name: str
@@ -81,7 +118,7 @@ class BuiltinTarget:
     run: Callable[[tuple], object]
 
 
-# --- binary-search(x): one sorted array, a fixed batch of lookups -------
+# --- binary-search(x): one sorted array, a batch of lookups -------------
 
 _SEARCH_BATCH = 100000
 
@@ -89,7 +126,7 @@ _SEARCH_BATCH = 100000
 def _binary_search_setup(args: dict, rng: np.random.Generator) -> tuple:
     x = args["x"]
     arr = list(range(x))
-    keys = rng.integers(0, max(x, 1), size=_SEARCH_BATCH).tolist()
+    keys = rng.integers(0, max(x, 1), size=_scaled(_SEARCH_BATCH)).tolist()
     return arr, keys
 
 
@@ -108,13 +145,13 @@ _SORT_BATCH = 16
 
 def _merge_sort_setup(args: dict, rng: np.random.Generator) -> tuple:
     data = rng.random(args["x"]).tolist()
-    return (data,)
+    return data, _scaled(_SORT_BATCH)
 
 
 def _merge_sort_run(payload: tuple) -> int:
-    (data,) = payload
+    data, sorts = payload
     out = None
-    for _ in range(_SORT_BATCH):
+    for _ in range(sorts):
         out = merge_sort(data)
     return len(out) if out is not None else 0
 
@@ -129,16 +166,16 @@ def _search_sort_setup(args: dict, rng: np.random.Generator) -> tuple:
     x, b = args["x"], args["b"]
     arr = list(range(x))
     block = rng.random(b).tolist()
-    keys = rng.integers(0, max(x, 1), size=_SEARCH_SORT_LOOKUPS).tolist()
-    return arr, block, keys
+    keys = rng.integers(0, max(x, 1), size=_scaled(_SEARCH_SORT_LOOKUPS)).tolist()
+    return arr, block, keys, _scaled(_SEARCH_SORT_SCANS)
 
 
 def _search_sort_run(payload: tuple) -> float:
-    arr, block, keys = payload
+    arr, block, keys, scans = payload
     acc = 0.0
     for key in keys:
         acc += binary_search(arr, key)
-    for _ in range(_SEARCH_SORT_SCANS):
+    for _ in range(scans):
         acc += sum(block)
     return acc
 
@@ -151,17 +188,17 @@ _CUSTOM_DEPTH_BATCH = 100000
 
 def _custom_setup(args: dict, rng: np.random.Generator) -> tuple:
     data = rng.random(args["x"]).tolist()
-    return data, args["m"], args["b"]
+    return data, args["m"], args["b"], _scaled(_CUSTOM_MX_BATCH), _scaled(_CUSTOM_DEPTH_BATCH)
 
 
 def _custom_run(payload: tuple) -> float:
-    data, m, b = payload
+    data, m, b, mx_batch, depth_batch = payload
     acc = 0.0
-    for _ in range(_CUSTOM_MX_BATCH):
+    for _ in range(mx_batch):
         for i in range(m):
             for v in data:
                 acc += v * i
-    for _ in range(_CUSTOM_DEPTH_BATCH):
+    for _ in range(depth_batch):
         acc += sqrt_depth(b)
     return acc
 

@@ -7,6 +7,7 @@ import pytest
 
 from qseg.cli import main
 from qseg.reportio import load_document
+from qseg.targets import batch_scale
 
 #: timing-valued fields excluded from byte-level determinism comparisons
 #: (documented in the README; everything else must be byte-identical)
@@ -98,6 +99,7 @@ class TestProfile:
         doc = load_document(out)
         assert doc["target"]["name"] == "binary-search"
         assert doc["config"]["seed"] == 7
+        assert doc["config"]["batch_scale"] == batch_scale()
         assert len(doc["sweeps"][0]["samples"]) == 5
         assert len(doc["models"]["x"]["segments"]) == 2
         assert "x" in doc["validation"]
@@ -133,6 +135,7 @@ class TestProfile:
         assert code == 0
         doc = load_document(out)
         assert doc["target"]["kind"] == "external"
+        assert "batch_scale" not in doc["config"]
         assert doc["sweeps"][0]["samples"][0]["clock"] in ("process-cpu", "wall")
 
     def test_failing_external_exit_one(self, tmp_path):

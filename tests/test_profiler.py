@@ -5,13 +5,16 @@ behavioural checks; real builtin targets get smoke coverage here and full
 classification coverage in the integration part of the acceptance suite.
 """
 
+import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import qseg.profiler as profiler
+import qseg.targets as targets
 from qseg.errors import (
     GridTooSmall,
     InsufficientArity,
@@ -25,7 +28,6 @@ from qseg.profiler import (
     build_runtime_profile,
     detect_interaction,
     measure,
-    pairwise_sweep,
     profile_variable,
     sweep_single,
 )
@@ -102,11 +104,27 @@ class TestMeasureBuiltin:
         assert target.builtin.setup({"x": 64}, rng3) != p1
 
     def test_timer_resolution_warning(self, monkeypatch):
+        # pin the tick so its probe does not use up the fake clock
+        monkeypatch.setattr(profiler, "_effective_tick", 1e-6)
         ticks = iter([0.0, 0.0] * 100)
         monkeypatch.setattr(profiler, "_cpu_clock", lambda: next(ticks))
         target = TargetSpec.for_builtin("binary-search")
         with pytest.warns(TimerResolutionWarning):
             measure(target, {"x": 4}, CFG)
+
+    @pytest.mark.parametrize("run_seconds, warns", [(0.05, True), (0.2, False)])
+    def test_resolution_warning_uses_measured_tick(self, monkeypatch, run_seconds, warns):
+        # with a 1ms step the threshold is 0.1s, far above the 1ns the
+        # clock advertises
+        monkeypatch.setattr(profiler, "_effective_tick", 1e-3)
+        ticks = itertools.count(0.0, run_seconds)
+        monkeypatch.setattr(profiler, "_cpu_clock", lambda: next(ticks))
+        target = TargetSpec.for_builtin("merge-sort")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sample = measure(target, {"x": 4}, CFG)
+        assert sample.cpu_seconds == pytest.approx(run_seconds)
+        assert any(issubclass(w.category, TimerResolutionWarning) for w in caught) == warns
 
 
 class TestMeasureExternal:
@@ -227,43 +245,12 @@ class TestDetectInteraction:
             detect_interaction(target, "x", "b", LOG_GRID, [3, 3], {}, CFG)
 
 
-class TestPairwiseSweep:
-    def test_additive_offsets(self):
-        c = 0.25
-        target = synthetic("add", lambda x, b: math.log2(x) + c * b, ["x", "b"],
-                           min_values={"x": 1})
-        sweeps = pairwise_sweep(target, ("x", "b"), {"b": 2}, increment=3, steps=3,
-                                grid_a=LOG_GRID, cfg=CFG)
-        assert [sw.fixed_values["b"] for sw in sweeps] == [2, 5, 8]
-        for lower, upper in zip(sweeps, sweeps[1:]):
-            diff = upper.series.ys - lower.series.ys
-            np.testing.assert_allclose(diff, c * 3, rtol=1e-9)
-
-    def test_multiplicative_slope_ratio(self):
-        target = synthetic("mul", lambda x, m: 1e-3 * m * x, ["x", "m"])
-        sweeps = pairwise_sweep(target, ("x", "m"), {"m": 2}, increment=2, steps=2,
-                                grid_a=LIN_GRID, cfg=CFG)
-        slope = []
-        for sw in sweeps:
-            xs, ys = sw.series.xs, sw.series.ys
-            slope.append((ys[-1] - ys[0]) / (xs[-1] - xs[0]))
-        assert slope[1] / slope[0] == pytest.approx(4 / 2, rel=1e-9)
-
-    def test_step_validation(self):
-        target = synthetic("add", lambda x, b: float(x + b), ["x", "b"])
-        with pytest.raises(ValueError):
-            pairwise_sweep(target, ("x", "b"), {"b": 0}, 1, 0, LIN_GRID, CFG)
-        with pytest.raises(ValueError):
-            pairwise_sweep(target, ("x", "b"), {"b": 0}, 0, 2, LIN_GRID, CFG)
-
-
 class TestBuildRuntimeProfile:
     def test_arity_one(self):
         target = synthetic("lg", lambda x: math.log2(x), ["x"], min_values={"x": 1})
         profile = build_runtime_profile(target, {"x": LOG_GRID}, CFG)
         assert len(profile.profiles) == 1
         assert profile.interactions == ()
-        assert profile.k_hint is None
 
     def test_arity_two_additive(self):
         target = synthetic("add", lambda x, b: math.log2(x) + 0.1 * b, ["x", "b"],
@@ -331,6 +318,44 @@ class TestDefaultGrids:
                 assert len(grid) == 7
                 assert all(b > a for a, b in zip(grid, grid[1:]))
                 assert grid[0] >= spec.min_value
+
+
+class TestBatchScale:
+    @pytest.mark.parametrize("tick, scale", [
+        (15.6e-3, 1.0), (1e-3, 1.0), (16e-6, 1.0),  # coarse clocks keep full batches
+        (4e-6, 0.25),
+        (1.6e-6, 0.125), (0.9e-6, 0.125), (0.1e-6, 0.125),  # floored at 1/8
+    ])
+    def test_power_of_two_from_tick(self, monkeypatch, tick, scale):
+        monkeypatch.setattr(profiler, "_effective_tick", tick)
+        assert targets.batch_scale() == scale
+
+    @pytest.mark.parametrize("tick, keys, sorts", [(1.6e-6, 12500, 2), (1e-3, 100000, 16)])
+    def test_payloads_follow_scale(self, monkeypatch, tick, keys, sorts):
+        monkeypatch.setattr(profiler, "_effective_tick", tick)
+        rng = np.random.default_rng(0)
+        _, search_keys = targets.BUILTIN_TARGETS["binary-search"].setup({"x": 64}, rng)
+        _, sort_batch = targets.BUILTIN_TARGETS["merge-sort"].setup({"x": 64}, rng)
+        assert len(search_keys) == keys
+        assert sort_batch == sorts
+
+    def test_one_batch_per_profile(self, monkeypatch):
+        # measure the tick afresh; every run of the profile sees one scale
+        monkeypatch.setattr(profiler, "_effective_tick", None)
+        builtin = targets.BUILTIN_TARGETS["binary-search"]
+        batches = []
+
+        def setup(args, rng):
+            payload = builtin.setup(args, rng)
+            batches.append(len(payload[1]))
+            return payload
+
+        target = TargetSpec(profiler.TargetKind.BUILTIN, builtin.name, builtin.args,
+                            builtin=targets.BuiltinTarget(builtin.name, builtin.args,
+                                                          setup, builtin.run))
+        build_runtime_profile(target, {"x": [64, 128, 256]}, CFG)
+        assert len(batches) == 3 * (CFG.warmup_runs + CFG.repetitions)
+        assert set(batches) == {round(100000 * targets.batch_scale())}
 
 
 @pytest.mark.integration
