@@ -25,11 +25,10 @@ from .classify import (
     CANDIDATES_BY_NAME,
     DEFAULT_CANDIDATES,
     ClassificationReport,
-    ProfileClassification,
     classify,
-    compose_summary,
+    classify_profile,
 )
-from .errors import QsegError
+from .errors import GridTooSmall, QsegError
 from .interp import BlendMode, build_piecewise, nodes_from_bounds, sample_function
 from .profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
 from .targets import batch_scale
@@ -59,14 +58,10 @@ def _parse_grid_flag(text: str, parser: argparse.ArgumentParser) -> tuple[str, l
         lo, hi, n = int(lo_s), int(hi_s), int(n_s)
     except ValueError:
         parser.error(f"--grid expects VAR=lo:hi:n, got {text!r}")
-    if n < 3 or n % 2 == 0:
-        parser.error(f"--grid {text!r}: point count must be odd and >= 3")
-    if hi <= lo:
-        parser.error(f"--grid {text!r}: hi must exceed lo")
     try:
         grid = integer_grid(lo, hi, n)
-    except QsegError as exc:
-        parser.error(str(exc))
+    except GridTooSmall as exc:
+        parser.error(f"--grid {text!r}: {exc}")
     return name.strip(), grid
 
 
@@ -237,28 +232,12 @@ def cmd_classify(args, parser: argparse.ArgumentParser) -> int:
         return 0
 
     doc = reportio.load_document(args.profile)
-    sweeps = doc.get("sweeps") or []
-    if not sweeps:
-        print(f"error: {args.profile} contains no sweeps", file=sys.stderr)
-        return 1
-    order = []
-    per_variable = {}
-    for sweep in sweeps:
-        series = reportio.series_from_sweep_json(sweep)
-        order.append(sweep["variable"])
-        per_variable[sweep["variable"]] = classify(series, candidates)
-    composite_pairs = [
-        tuple(item["pair"]) for item in doc.get("interactions") or []
-        if item.get("label") == "composite"
-    ]
-    winners = {v: report.winner.name for v, report in per_variable.items()}
-    summary = compose_summary(order, winners, composite_pairs)
-    result = ProfileClassification(per_variable, summary)
+    result = classify_profile(reportio.profile_from_document(doc), candidates)
     doc["classification"] = reportio.classification_to_json(result)
     reportio.dump_document(doc, args.profile)
-    for variable in order:
-        _print_report(per_variable[variable], f"variable {variable}:")
-    print(f"summary: {summary}")
+    for variable, report in result.per_variable.items():
+        _print_report(report, f"variable {variable}:")
+    print(f"summary: {result.summary}")
     print(f"updated {args.profile}")
     return 0
 

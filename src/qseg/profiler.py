@@ -230,24 +230,31 @@ class RuntimeProfile:
     interactions: tuple[InteractionLabel, ...]
 
 
-def integer_grid(lo: int, hi: int, points: int) -> list[int]:
-    """``points`` evenly spaced integers from lo to hi inclusive."""
-    grid = [int(round(v)) for v in np.linspace(lo, hi, points)]
+def _checked_grid(grid: Sequence[int], name: str) -> list[int]:
+    """The grid as integers, if it is a sweep grid: an odd number, at
+    least 3, of strictly increasing points.  Raises GridTooSmall otherwise."""
+    grid = [int(g) for g in grid]
+    if len(grid) < 3:
+        raise GridTooSmall(f"{name} has {len(grid)} points; need >= 3")
+    if len(grid) % 2 == 0:
+        raise GridTooSmall(f"{name} has even length {len(grid)}")
     for left, right in zip(grid, grid[1:]):
         if right <= left:
-            raise GridTooSmall(f"grid {lo}:{hi}:{points} collapses after rounding")
+            raise GridTooSmall(f"{name} is not strictly increasing: {grid}")
     return grid
+
+
+def integer_grid(lo: int, hi: int, points: int) -> list[int]:
+    """``points`` evenly spaced integers from lo to hi inclusive."""
+    return _checked_grid(np.rint(np.linspace(lo, hi, max(points, 0))), f"grid {lo}:{hi}:{points}")
 
 
 def geometric_grid(lo: int, hi: int, points: int) -> list[int]:
     """``points`` geometrically spaced integers from lo to hi inclusive."""
     if lo <= 0:
         raise GridTooSmall("geometric grids need a positive lower bound")
-    grid = [int(round(v)) for v in np.geomspace(lo, hi, points)]
-    for left, right in zip(grid, grid[1:]):
-        if right <= left:
-            raise GridTooSmall(f"geometric grid {lo}:{hi}:{points} collapses after rounding")
-    return grid
+    return _checked_grid(np.rint(np.geomspace(lo, hi, max(points, 0))),
+                        f"geometric grid {lo}:{hi}:{points}")
 
 
 def _seed_material(cfg: MeasureConfig, args: dict[str, int], rep: int) -> list[int]:
@@ -374,14 +381,7 @@ def sweep_single(target: TargetSpec, variable: str, grid: Sequence[int],
     point, then rep 1, ...) so slow periods of a loaded machine spread over
     all points instead of distorting one of them.
     """
-    grid = [int(g) for g in grid]
-    if len(grid) < 3:
-        raise GridTooSmall(f"grid for {variable} has {len(grid)} points; need >= 3")
-    if len(grid) % 2 == 0:
-        raise GridTooSmall(f"grid for {variable} has even length {len(grid)}")
-    for left, right in zip(grid, grid[1:]):
-        if right <= left:
-            raise GridTooSmall(f"grid for {variable} is not strictly increasing")
+    grid = _checked_grid(grid, f"grid for {variable}")
     others = [n for n in target.variable_names if n != variable]
     missing = [n for n in others if n not in fixed]
     if missing:

@@ -11,11 +11,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
+from . import _plotrows
 from .accuracy import AccuracyReport, ReferenceFn
 from .classify import ProfileClassification
 from .errors import NonMonotonicX, ParseError
@@ -26,7 +32,16 @@ from .interp import (
     SamplePoint,
     SampleSeries,
 )
-from .profiler import RuntimeProfile
+from .profiler import (
+    InteractionLabel,
+    RuntimeProfile,
+    SweepResult,
+    TargetKind,
+    TargetSpec,
+    TimingSample,
+    VariableProfile,
+)
+from .targets import ArgSpec
 
 FORMAT_VERSION = "1.0"
 FORMAT_MAJOR = 1
@@ -85,6 +100,105 @@ def read_series(path: PathLike, label: str = "") -> SampleSeries:
 
 # --- plot data ------------------------------------------------------------
 
+#: Least dense rows in each run a plot file is split into, one run per usable
+#: CPU.  Measured on a 2-core Xeon at 2.1 GHz: a helper interpreter takes
+#: 11-13ms to start, and a row takes 1.5us to format (2.5us with the
+#: reference column).  A helper's run of 10,000 rows spares this process
+#: 15-25ms of formatting, so it outlasts the helper's start-up; on two CPUs
+#: the split starts at 20,000 rows (100 segments).
+PLOT_ROWS_PER_RUN = 10_000
+
+_HELPER = Path(__file__).with_name("_plotrows.py")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def _plot_runs(segment_count: int) -> list[tuple[int, int]]:
+    """Contiguous ``[start, stop)`` segment runs, one per file part: a
+    single run on one CPU, without an interpreter to start helpers from,
+    or for a small file."""
+    runs = 1
+    if sys.executable:
+        dense_rows = segment_count * PLOT_POINTS_PER_SEGMENT
+        runs = max(1, min(_usable_cpus(), dense_rows // PLOT_ROWS_PER_RUN))
+    bounds = [segment_count * k // runs for k in range(runs + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _segment_rows(pw: PiecewisePoly, fn, i: int) -> tuple[int, int, list]:
+    """Segment ``i``'s plot rows as columns x, F and, with a reference, G,
+    plus how many knot rows end them.  The dense x and F values come from
+    one numpy pass in the scalar operation order, so they are bit-identical
+    to ``seg.value(x)``."""
+    seg = pw.segments[i]
+    steps = np.arange(PLOT_POINTS_PER_SEGMENT, dtype=float)
+    xs = seg.lo + (seg.hi - seg.lo) * steps / (PLOT_POINTS_PER_SEGMENT - 1)
+    columns = [xs.tolist(), ((seg.a * xs + seg.b) * xs + seg.c).tolist()]
+    knots = 0
+    if i + 1 < len(pw.segments):
+        knot = seg.hi
+        left = seg.value(knot)
+        right = pw.segments[i + 1].value(knot)
+        knots = 2 if abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left)) else 1
+        columns[0] += [knot] * knots
+        columns[1] += [left, right][:knots]
+    if fn:
+        columns.append([float(fn(x)) for x in columns[0]])
+    return i, knots, columns
+
+
+def _plot_chunks(pw: PiecewisePoly, fn, run: tuple[int, int]):
+    """The CSV bytes of a run, one chunk per segment."""
+    for i in range(*run):
+        yield _plotrows.segment_text(*_segment_rows(pw, fn, i)).encode()
+
+
+def _start_helper(pw: PiecewisePoly, fn, run: tuple[int, int], part):
+    """Start an interpreter that formats ``run`` into ``part``; None when
+    it cannot be started.  Every value of the run, the reference's too, is
+    computed here first, so an error in them is raised before any helper
+    starts."""
+    with tempfile.TemporaryFile() as numbers:
+        for i in range(*run):
+            numbers.write(_plotrows.segment_record(*_segment_rows(pw, fn, i)))
+        numbers.seek(0)
+        try:
+            return subprocess.Popen([sys.executable, "-I", "-S", str(_HELPER)],
+                                    stdin=numbers, stdout=part, stderr=subprocess.DEVNULL)
+        except OSError:
+            return None
+
+
+def _write_runs_split(out, pw: PiecewisePoly, fn, runs: list[tuple[int, int]]) -> None:
+    """Write the first run here while helper processes format the others
+    into anonymous temporary files, then append those in order.  A run
+    whose helper failed is written here."""
+    parts = [tempfile.TemporaryFile() for _ in runs[1:]]
+    helpers = []
+    try:
+        for part, run in zip(parts, runs[1:]):
+            helpers.append(_start_helper(pw, fn, run, part))
+        out.writelines(_plot_chunks(pw, fn, runs[0]))
+        for part, run, helper in zip(parts, runs[1:], helpers):
+            if helper is not None and helper.wait() == 0:
+                part.seek(0)
+                shutil.copyfileobj(part, out)
+            else:
+                out.writelines(_plot_chunks(pw, fn, run))
+    finally:
+        for helper in helpers:
+            if helper is not None and helper.returncode is None:
+                helper.kill()
+                helper.wait()
+        for part in parts:
+            part.close()
+
+
 def emit_plot_data(pw: PiecewisePoly, path: PathLike,
                    ref: Optional[ReferenceFn] = None) -> None:
     """Dense per-segment evaluations plus flagged knot rows.
@@ -93,33 +207,27 @@ def emit_plot_data(pw: PiecewisePoly, path: PathLike,
     written twice, once per side, so plots can show the discontinuity.
 
     The file is the CSV ``csv.writer`` would write (CRLF line ends; ``repr``
-    floats never need quoting).  A segment's dense x and F values come from
-    one numpy pass in the scalar operation order, so they are bit-identical
-    to ``seg.value(x)``; each segment's rows go out in one write.
+    floats never need quoting).
+
+    A large file is split into contiguous runs of segments, one per usable
+    CPU, each of at least ``PLOT_ROWS_PER_RUN`` dense rows.  This process
+    computes every value and writes the first run into ``path``; helper
+    interpreters format the other runs into anonymous temporary files,
+    which are appended in order.  The bytes are those of a single writer,
+    nothing but ``path`` appears in its directory, and an error from
+    ``ref`` is raised here, as without helpers.  A run whose helper fails
+    is formatted here instead.  The file is written by this process alone
+    on one usable CPU, without ``sys.executable``, or when it holds fewer
+    than two runs' rows.
     """
     fn = ref.fn if ref else None
-
-    def rows(xs: list, values: list, tail: str) -> list:
-        if fn:
-            return [f"{x!r},{v!r},{float(fn(x))!r}{tail}" for x, v in zip(xs, values)]
-        return [f"{x!r},{v!r}{tail}" for x, v in zip(xs, values)]
-
-    step_count = PLOT_POINTS_PER_SEGMENT
-    steps = np.arange(step_count, dtype=float)
-    with open(path, "w", newline="") as handle:
-        handle.write("x,F," + ("G," if fn else "") + "segment_index,is_knot\r\n")
-        for i, seg in enumerate(pw.segments):
-            xs = seg.lo + (seg.hi - seg.lo) * steps / (step_count - 1)
-            values = (seg.a * xs + seg.b) * xs + seg.c
-            lines = rows(xs.tolist(), values.tolist(), f",{i},0\r\n")
-            if i + 1 < len(pw.segments):
-                knot = seg.hi
-                left = seg.value(knot)
-                right = pw.segments[i + 1].value(knot)
-                lines += rows([knot], [left], f",{i},1\r\n")
-                if abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left)):
-                    lines += rows([knot], [right], f",{i + 1},1\r\n")
-            handle.write("".join(lines))
+    runs = _plot_runs(len(pw.segments))
+    with open(path, "wb") as out:
+        out.write(("x,F," + ("G," if fn else "") + "segment_index,is_knot\r\n").encode())
+        if len(runs) == 1:
+            out.writelines(_plot_chunks(pw, fn, runs[0]))
+        else:
+            _write_runs_split(out, pw, fn, runs)
 
 
 # --- JSON documents -------------------------------------------------------
@@ -293,3 +401,42 @@ def series_from_sweep_json(sweep: dict) -> SampleSeries:
     xs = [s["args"][variable] for s in sweep["samples"]]
     ys = [s["cpu_seconds"] for s in sweep["samples"]]
     return SampleSeries.from_arrays(xs, ys, label=f"sweep:{variable}")
+
+
+def _sweep_from_json(sweep: dict) -> SweepResult:
+    samples = tuple(
+        TimingSample(dict(s["args"]), float(s["cpu_seconds"]), float(s["dispersion"]), s["clock"])
+        for s in sweep["samples"]
+    )
+    return SweepResult(sweep["variable"], dict(sweep["fixed_values"]), samples,
+                       series_from_sweep_json(sweep))
+
+
+def profile_from_document(doc: dict) -> RuntimeProfile:
+    """The runtime profile a profile document records: one sweep and model
+    per variable and the pair labels, under a target that keeps its kind,
+    name, variables and command but has no runner (validity floors are not
+    recorded).  Raises ParseError when the document holds no sweeps or is
+    malformed."""
+    if not doc.get("sweeps"):
+        raise ParseError("profile document contains no sweeps")
+    try:
+        target = doc["target"]
+        spec = TargetSpec(
+            TargetKind(target["kind"]), target["name"],
+            tuple(ArgSpec(name) for name in target["variables"]),
+            command=tuple(target["command"]) if target["command"] else None,
+        )
+        models = models_from_document(doc)
+        profiles = tuple(
+            VariableProfile(sweep["variable"], _sweep_from_json(sweep), models[sweep["variable"]])
+            for sweep in doc["sweeps"]
+        )
+        interactions = tuple(
+            InteractionLabel(tuple(item["pair"]), item["label"],
+                             float(item["evidence"]), float(item["threshold"]))
+            for item in doc.get("interactions") or []
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed profile document: {exc}") from exc
+    return RuntimeProfile(spec, profiles, interactions)

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
 import json
+import math
+import os
+import subprocess
 import sys
 
 import pytest
 
+from qseg.classify import classify_profile
 from qseg.cli import main
-from qseg.reportio import load_document
+from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile
+from qseg.reportio import dump_document, load_document, profile_document
 from qseg.targets import batch_scale
 
 #: timing-valued fields excluded from byte-level determinism comparisons
@@ -82,6 +87,23 @@ class TestApprox:
                     "--segments", "2", "--out", str(tmp_path / "r.json")])
         assert code == 1
 
+    def test_plot_to_stdout_pipe(self, tmp_path):
+        # a plot large enough to be split across helper processes reaches a
+        # pipe whole and in order, ahead of the summary lines
+        argv = ["approx", "--fn", "cospix", "--from", "0", "--to", "1.5",
+                "--segments", "100", "--mode", "trailing-secant",
+                "--out", str(tmp_path / "report.json")]
+        assert run(argv + ["--plot", str(tmp_path / "plot.csv")]) == 0
+        piped = subprocess.run(
+            [sys.executable, "-m", "qseg.cli", *argv, "--plot", "/dev/stdout"],
+            capture_output=True, check=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        plot = (tmp_path / "plot.csv").read_bytes()
+        assert piped.stdout.startswith(plot)
+        assert piped.stdout[len(plot):].startswith(b"model: 100 segments")
+        assert sorted(os.listdir(tmp_path)) == ["plot.csv", "report.json"]
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -114,6 +136,7 @@ class TestProfile:
     def test_bad_grid_specs_exit_two(self):
         assert run(["profile", "--target", "binary-search", "--grid", "x=1:100:4"]) == 2
         assert run(["profile", "--target", "binary-search", "--grid", "x=100:1:5"]) == 2
+        assert run(["profile", "--target", "binary-search", "--grid", "x=1:100:-3"]) == 2
         assert run(["profile", "--target", "binary-search", "--grid", "x=nope"]) == 2
 
     def test_unknown_builtin_exit_one(self, tmp_path):
@@ -199,6 +222,29 @@ class TestClassify:
             "log", "loglog", "sqrt", "const", "linear", "nlogn", "quadratic"
         }
         assert "summary" in doc["classification"]
+
+    def test_profile_classified_as_by_the_library(self, tmp_path):
+        # a composite pair, so the summary exercises the pair labels too
+        target = TargetSpec.for_callable(
+            "mul", lambda x, b: math.log2(x) * b, ["x", "b"], min_values={"x": 1}
+        )
+        grids = {"x": [8, 16, 32, 64, 128, 256, 512], "b": [1, 8, 16, 32, 64, 128, 256]}
+        profile = build_runtime_profile(target, grids, MeasureConfig(seed=5))
+        library, cli = tmp_path / "library.json", tmp_path / "cli.json"
+        config = {"seed": 5, "grids": grids}
+        dump_document(profile_document(profile, config, classify_profile(profile)), library)
+        dump_document(profile_document(profile, config), cli)
+        assert run(["classify", "--profile", str(cli)]) == 0
+        block = load_document(library)["classification"]
+        assert block["summary"] == "log(x) · linear(b)"
+        assert load_document(cli)["classification"] == block
+        assert cli.read_bytes() == library.read_bytes()
+
+    def test_profile_without_sweeps_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"format_version": "1.0", "kind": "profile", "sweeps": []}))
+        assert run(["classify", "--profile", str(path)]) == 1
+        assert "no sweeps" in capsys.readouterr().err
 
     def test_both_sources_exit_two(self, series_csv, tmp_path):
         assert run(["classify", "--input", str(series_csv),

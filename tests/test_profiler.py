@@ -27,6 +27,8 @@ from qseg.profiler import (
     TimerResolutionWarning,
     build_runtime_profile,
     detect_interaction,
+    geometric_grid,
+    integer_grid,
     measure,
     profile_variable,
     sweep_single,
@@ -318,6 +320,16 @@ class TestDefaultGrids:
                 assert len(grid) == 7
                 assert all(b > a for a, b in zip(grid, grid[1:]))
                 assert grid[0] >= spec.min_value
+
+
+    @pytest.mark.parametrize("build", [integer_grid, geometric_grid])
+    @pytest.mark.parametrize("lo, hi, points", [
+        (1, 100, 4), (1, 100, 1), (1, 100, -3),  # even, short, negative counts
+        (100, 1, 5), (5, 5, 3), (1, 3, 7),  # decreasing, flat, collapsed by rounding
+    ])
+    def test_builders_reject_what_a_sweep_rejects(self, build, lo, hi, points):
+        with pytest.raises(GridTooSmall):
+            build(lo, hi, points)
 
 
 class TestBatchScale:

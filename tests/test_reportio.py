@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from qseg.accuracy import NAMED_REFERENCES, accuracy_vs
+from qseg import reportio
+from qseg.accuracy import NAMED_REFERENCES, ReferenceFn, accuracy_vs
 from qseg.errors import EvenSeries, NonMonotonicX, ParseError
 from qseg.interp import (
     BlendMode,
@@ -21,6 +24,7 @@ from qseg.reportio import (
     FORMAT_VERSION,
     KNOT_MATCH_TOL,
     PLOT_POINTS_PER_SEGMENT,
+    PLOT_ROWS_PER_RUN,
     approx_document,
     dump_document,
     emit_plot_data,
@@ -28,6 +32,7 @@ from qseg.reportio import (
     model_from_json,
     models_from_document,
     profile_document,
+    profile_from_document,
     read_series,
     series_from_sweep_json,
     write_series,
@@ -161,32 +166,129 @@ def reference_plot_data(pw, path, ref=None):
                     row(knot, right, i + 1, 1)
 
 
+#: Segments enough for three runs of PLOT_ROWS_PER_RUN dense rows each.
+SPLIT_SEGMENTS = 3 * PLOT_ROWS_PER_RUN // PLOT_POINTS_PER_SEGMENT + 1
+
+
+@pytest.fixture()
+def helpers(monkeypatch):
+    """Fix the usable CPUs at 3, so files split the same on any machine,
+    and record every helper process started."""
+    monkeypatch.setattr(reportio, "_usable_cpus", lambda: 3)
+    started = []
+    real_start = reportio._start_helper
+
+    def start(*args):
+        helper = real_start(*args)
+        started.append(helper)
+        return helper
+
+    monkeypatch.setattr(reportio, "_start_helper", start)
+    return started
+
+
+def cospix_model(mode, segments):
+    bounds = np.linspace(0.0, 1.5, segments + 1)
+    return build_piecewise(sample_function(NAMED_REFERENCES["cospix"].fn, nodes_from_bounds(bounds)), mode)
+
+
+def cubic_model(segments):
+    """Trailing-secant on a cubic, which jumps at every knot."""
+    return build_piecewise(
+        sample_function(lambda x: x ** 3, nodes_from_bounds(np.linspace(0.0, 8.0, segments + 1))),
+        BlendMode.TRAILING_SECANT,
+    )
+
+
 class TestPlotBytes:
     @pytest.mark.parametrize("with_ref", [False, True])
-    @pytest.mark.parametrize("segments", [1, 3, 129])
+    @pytest.mark.parametrize("segments", [1, 3, 129, SPLIT_SEGMENTS])
     @pytest.mark.parametrize("mode", list(BlendMode))
-    def test_matches_reference_writer(self, tmp_path, mode, segments, with_ref):
+    def test_matches_reference_writer(self, tmp_path, helpers, mode, segments, with_ref):
         ref = NAMED_REFERENCES["cospix"] if with_ref else None
-        bounds = np.linspace(0.0, 1.5, segments + 1)
-        pw = build_piecewise(sample_function(NAMED_REFERENCES["cospix"].fn, nodes_from_bounds(bounds)), mode)
+        pw = cospix_model(mode, segments)
         emit_plot_data(pw, tmp_path / "plot.csv", ref)
         reference_plot_data(pw, tmp_path / "reference.csv", ref)
         assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        runs = min(3, segments * PLOT_POINTS_PER_SEGMENT // PLOT_ROWS_PER_RUN)
+        # every helper formatted its run: none fell back to this process
+        assert [helper.returncode for helper in helpers] == [0] * max(0, runs - 1)
+        assert sorted(os.listdir(tmp_path)) == ["plot.csv", "reference.csv"]
 
     @pytest.mark.parametrize("with_ref", [False, True])
     def test_jumping_knots_match_reference_writer(self, tmp_path, with_ref):
         # trailing-secant on a cubic jumps at every knot, so every knot row
         # is written twice
         ref = NAMED_REFERENCES["exp2"] if with_ref else None
-        pw = build_piecewise(
-            sample_function(lambda x: x ** 3, nodes_from_bounds(np.linspace(0.0, 8.0, 9))),
-            BlendMode.TRAILING_SECANT,
-        )
+        pw = cubic_model(8)
         emit_plot_data(pw, tmp_path / "plot.csv", ref)
         reference_plot_data(pw, tmp_path / "reference.csv", ref)
         written = (tmp_path / "plot.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert written.count(b",1\r\n") == 2 * (len(pw.segments) - 1)
+
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_jumping_knots_on_the_split_match_reference_writer(self, tmp_path, helpers,
+                                                               monkeypatch, with_ref):
+        # on two CPUs the model splits into two runs at its middle knot,
+        # whose two rows end the first run
+        monkeypatch.setattr(reportio, "_usable_cpus", lambda: 2)
+        segments = 2 * PLOT_ROWS_PER_RUN // PLOT_POINTS_PER_SEGMENT
+        half = segments // 2
+        assert reportio._plot_runs(segments) == [(0, half), (half, segments)]
+        ref = NAMED_REFERENCES["exp2"] if with_ref else None
+        pw = cubic_model(segments)
+        emit_plot_data(pw, tmp_path / "plot.csv", ref)
+        reference_plot_data(pw, tmp_path / "reference.csv", ref)
+        written = (tmp_path / "plot.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.count(b",1\r\n") == 2 * (segments - 1)
+        assert [helper.returncode for helper in helpers] == [0]
+
+    def test_fallbacks_write_the_same_bytes(self, tmp_path, helpers, monkeypatch):
+        pw = cospix_model(BlendMode.TRAILING_SECANT, SPLIT_SEGMENTS)
+        ref = NAMED_REFERENCES["cospix"]
+        emit_plot_data(pw, tmp_path / "split.csv", ref)
+        assert [helper.returncode for helper in helpers] == [0, 0]
+        # helpers that fail: this process formats their runs
+        monkeypatch.setattr(reportio, "_HELPER", tmp_path / "absent.py")
+        emit_plot_data(pw, tmp_path / "failed.csv", ref)
+        assert [helper.returncode for helper in helpers[2:]] == [2, 2]
+        # one usable CPU, or no interpreter to start: no helper at all
+        monkeypatch.setattr(reportio, "_usable_cpus", lambda: 1)
+        emit_plot_data(pw, tmp_path / "one-cpu.csv", ref)
+        monkeypatch.setattr(reportio, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(sys, "executable", "")
+        emit_plot_data(pw, tmp_path / "no-interpreter.csv", ref)
+        assert len(helpers) == 4
+        split = (tmp_path / "split.csv").read_bytes()
+        for name in ("failed.csv", "one-cpu.csv", "no-interpreter.csv"):
+            assert (tmp_path / name).read_bytes() == split
+
+    @pytest.mark.parametrize("cpus, failing", [(1, 0.6), (3, 0.6), (3, 0.2)])
+    def test_reference_error_as_from_one_writer(self, tmp_path, helpers, monkeypatch,
+                                                cpus, failing):
+        # the reference fails in one third of the domain: the middle run,
+        # which a helper would format, or the first, which this process
+        # formats while the helpers run
+        monkeypatch.setattr(reportio, "_usable_cpus", lambda: cpus)
+        pw = cospix_model(BlendMode.ENDPOINT_SECANT, SPLIT_SEGMENTS)
+        if cpus == 3:
+            starts = [pw.segments[start].lo for start, _ in reportio._plot_runs(SPLIT_SEGMENTS)]
+            assert starts[1] < 0.5 and 0.95 < starts[2]
+
+        def fragile(x):
+            if abs(x - failing) < 0.1:
+                raise ZeroDivisionError(f"no value at {x!r}")
+            return math.cos(math.pi * x)
+
+        with pytest.raises(ZeroDivisionError, match="no value at"):
+            emit_plot_data(pw, tmp_path / "plot.csv", ReferenceFn("fragile", fragile))
+        assert len(helpers) == (2 if failing < 0.5 and cpus == 3 else 0)
+        assert all(helper.returncode is not None for helper in helpers)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child left, running or unreaped
+        assert os.listdir(tmp_path) == ["plot.csv"]
 
 
 class TestDocuments:
@@ -260,6 +362,37 @@ class TestDocuments:
         np.testing.assert_allclose(series.xs, grids["x"])
         assert set(models_from_document(loaded)) == {"x", "b"}
         assert loaded["interactions"][0]["label"] == "additive"
+
+
+    def test_profile_from_document_round_trip(self, tmp_path):
+        target = TargetSpec.for_callable(
+            "mul", lambda x, b: math.log2(x) * b, ["x", "b"], min_values={"x": 1}
+        )
+        grids = {"x": [8, 16, 32, 64, 128, 256, 512], "b": [1, 8, 16, 32, 64, 128, 256]}
+        profile = build_runtime_profile(target, grids, MeasureConfig(seed=5))
+        path = tmp_path / "profile.json"
+        dump_document(profile_document(profile, {"seed": 5}), path)
+        back = profile_from_document(load_document(path))
+        assert (back.target.kind, back.target.name, back.target.variable_names) == \
+               (target.kind, target.name, target.variable_names)
+        assert back.interactions == profile.interactions
+        for vp_back, vp in zip(back.profiles, profile.profiles, strict=True):
+            assert vp_back.variable == vp.variable
+            assert vp_back.sweep.fixed_values == vp.sweep.fixed_values
+            assert vp_back.sweep.samples == vp.sweep.samples
+            assert vp_back.sweep.series.points == vp.sweep.series.points
+            assert vp_back.model.segments == vp.model.segments
+
+    @pytest.mark.parametrize("doc", [
+        {"target": {"kind": "synthetic", "name": "f", "variables": ["x"], "command": None},
+         "sweeps": [], "models": {}},
+        {"target": {"kind": "warp-drive", "name": "f", "variables": ["x"], "command": None},
+         "sweeps": [], "models": {}},
+        {"sweeps": [{"variable": "x"}]},
+    ])
+    def test_profile_from_document_rejects_malformed(self, doc):
+        with pytest.raises(ParseError):
+            profile_from_document(doc)
 
 
 class TestFloatFidelity:
