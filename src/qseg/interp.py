@@ -296,55 +296,86 @@ class PiecewisePoly:
     in TRAILING_SECANT mode the left-owner rule keeps evaluation deterministic
     across the jump.
 
-    Construction costs O(m) for m segments; it caches the segments' upper
-    bounds and the running sum of whole-segment integrals, so ``evaluate``,
-    ``derivative_at`` and ``integral`` cost O(log m) per call.  The caches
-    are plain attributes, not fields, so equality, ``repr`` and hashing see
-    only ``segments`` and ``mode``.
+    Construction costs O(m) for m segments.  It checks that every segment's
+    bounds increase and meet the next segment's, and caches flat per-segment
+    lists: the bounds, the coefficients a, b and c, the antiderivative's
+    a/3 and b/2, and the running sum of whole-segment integrals.  Each
+    ``evaluate``, ``derivative_at`` and ``integral`` call is then one bounds
+    check, one bisection of the upper bounds and closed-form arithmetic on
+    those lists, O(log m), with results equal bit for bit to the segment
+    methods (``QuadraticSegment.value``, ``derivative`` and ``integral``).
+    The caches are plain attributes, not fields, so equality, ``repr`` and
+    hashing see only ``segments`` and ``mode``.
     """
 
     segments: tuple[QuadraticSegment, ...]
     mode: BlendMode
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
+        segments = tuple(self.segments)
+        object.__setattr__(self, "segments", segments)
+        if not segments:
             raise TooFewPoints("piecewise model needs at least one segment")
-        for left, right in zip(self.segments, self.segments[1:]):
-            if left.hi != right.lo:
-                raise NonMonotonicX(
-                    f"segment domains must be contiguous ({left.hi} != {right.lo})"
-                )
         # _prefix[i] is the integral over segments 0 .. i-1.
         prefix = [0.0]
-        for seg in self.segments:
+        edge = segments[0].lo
+        for seg in segments:
+            if seg.lo != edge:
+                raise NonMonotonicX(
+                    f"segment domains must be contiguous ({edge} != {seg.lo})"
+                )
+            if not seg.lo < seg.hi:
+                raise NonMonotonicX(
+                    f"segment bounds must increase (got [{seg.lo}, {seg.hi}])"
+                )
+            edge = seg.hi
             prefix.append(prefix[-1] + seg.integral(seg.lo, seg.hi))
-        object.__setattr__(self, "_his", [seg.hi for seg in self.segments])
-        object.__setattr__(self, "_prefix", prefix)
+        cache = {
+            "_lo": segments[0].lo,
+            "_hi": edge,
+            "_los": [seg.lo for seg in segments],
+            "_his": [seg.hi for seg in segments],
+            "_a": [seg.a for seg in segments],
+            "_b": [seg.b for seg in segments],
+            "_c": [seg.c for seg in segments],
+            # the antiderivative's coefficients, as QuadraticSegment.integral
+            # computes them
+            "_a3": [seg.a / 3.0 for seg in segments],
+            "_b2": [seg.b / 2.0 for seg in segments],
+            "_prefix": prefix,
+        }
+        for name, value in cache.items():
+            object.__setattr__(self, name, value)
 
     @property
     def domain(self) -> tuple[float, float]:
-        return self.segments[0].lo, self.segments[-1].hi
+        return self._lo, self._hi
 
     @property
     def knots(self) -> tuple[float, ...]:
         """Interior transition points between adjacent segments."""
-        return tuple(seg.hi for seg in self.segments[:-1])
+        return tuple(self._his[:-1])
 
     def _segment_index(self, x: float) -> int:
-        his = self._his
-        if not (self.segments[0].lo <= x <= his[-1]):
-            lo, hi = self.domain
-            raise OutOfDomain(f"x = {x} outside [{lo}, {hi}]")
+        if not (self._lo <= x <= self._hi):
+            raise OutOfDomain(f"x = {x} outside [{self._lo}, {self._hi}]")
         # bisect on segment upper bounds: at a shared knot the left segment
-        # (whose hi equals x) wins.  x <= his[-1], so the index is in range.
-        return bisect_left(his, x)
+        # (whose hi equals x) wins.  x <= the last bound, so the index is in
+        # range.
+        return bisect_left(self._his, x)
 
     def segment_at(self, x: float) -> QuadraticSegment:
         return self.segments[self._segment_index(x)]
 
+    # evaluate, derivative_at and integral repeat _segment_index and the
+    # segment methods inline, in the same operation order, so each query
+    # runs in one frame.
+
     def evaluate(self, x: float) -> float:
-        return self.segment_at(x).value(x)
+        if not (self._lo <= x <= self._hi):
+            raise OutOfDomain(f"x = {x} outside [{self._lo}, {self._hi}]")
+        i = bisect_left(self._his, x)
+        return (self._a[i] * x + self._b[i]) * x + self._c[i]
 
     def derivative_at(self, x: float) -> tuple[float, float]:
         """One-sided derivatives (left, right) at x.
@@ -353,11 +384,15 @@ class PiecewisePoly:
         adjacent segments and may differ, so callers must not assume
         differentiability there.
         """
-        i = self._segment_index(x)
-        left = right = self.segments[i].derivative(x)
-        if i + 1 < len(self.segments) and x == self.segments[i].hi:
-            right = self.segments[i + 1].derivative(x)
-        return left, right
+        if not (self._lo <= x <= self._hi):
+            raise OutOfDomain(f"x = {x} outside [{self._lo}, {self._hi}]")
+        his = self._his
+        i = bisect_left(his, x)
+        a, b = self._a, self._b
+        left = 2.0 * a[i] * x + b[i]
+        if x == his[i] and i + 1 < len(his):
+            return left, 2.0 * a[i + 1] * x + b[i + 1]
+        return left, left
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b]: the partial segments holding a and b
@@ -367,17 +402,21 @@ class PiecewisePoly:
         """
         if a > b:
             raise OutOfDomain(f"inverted bounds [{a}, {b}]")
-        lo, hi = self.domain
-        if not (lo <= a and b <= hi):
-            raise OutOfDomain(f"[{a}, {b}] outside [{lo}, {hi}]")
-        i = bisect_left(self._his, a)
-        j = bisect_left(self._his, b)
-        first = self.segments[i]
+        if not (self._lo <= a and b <= self._hi):
+            raise OutOfDomain(f"[{a}, {b}] outside [{self._lo}, {self._hi}]")
+        his = self._his
+        i = bisect_left(his, a)
+        j = bisect_left(his, b)
+        a3s, b2s, cs = self._a3, self._b2, self._c
+        p3, p2, p = a3s[i], b2s[i], cs[i]
         if i == j:
-            return first.integral(a, b)
-        last = self.segments[j]
-        return (first.integral(a, first.hi) + (self._prefix[j] - self._prefix[i + 1])
-                + last.integral(last.lo, b))
+            return ((p3 * b + p2) * b + p) * b - ((p3 * a + p2) * a + p) * a
+        v = his[i]
+        head = ((p3 * v + p2) * v + p) * v - ((p3 * a + p2) * a + p) * a
+        q3, q2, q = a3s[j], b2s[j], cs[j]
+        u = self._los[j]
+        tail = ((q3 * b + q2) * b + q) * b - ((q3 * u + q2) * u + q) * u
+        return head + (self._prefix[j] - self._prefix[i + 1]) + tail
 
 
 def self_similar_next(seg: QuadraticSegment) -> tuple[float, float, float]:

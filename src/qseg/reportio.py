@@ -247,18 +247,27 @@ def _model_to_json(pw: PiecewisePoly) -> dict:
     }
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
+
+
+def _segment_from_json(s: dict, mode: BlendMode) -> QuadraticSegment:
+    node_xs = tuple(_finite(v) for v in s["node_xs"])
+    if len(node_xs) != 3:
+        raise ValueError(f"node_xs holds {len(node_xs)} values, not 3")
+    return QuadraticSegment(
+        _finite(s["a"]), _finite(s["b"]), _finite(s["c"]),
+        _finite(s["lo"]), _finite(s["hi"]), node_xs, mode,
+    )
+
+
 def model_from_json(obj: dict) -> PiecewisePoly:
     try:
         mode = BlendMode(obj["mode"])
-        segments = tuple(
-            QuadraticSegment(
-                float(s["a"]), float(s["b"]), float(s["c"]),
-                float(s["lo"]), float(s["hi"]),
-                tuple(float(v) for v in s["node_xs"]),
-                mode,
-            )
-            for s in obj["segments"]
-        )
+        segments = tuple(_segment_from_json(s, mode) for s in obj["segments"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model: {exc}") from exc
     return PiecewisePoly(segments, mode)
@@ -369,13 +378,19 @@ def dump_document(doc: dict, path: PathLike) -> None:
         handle.write(text + "\n")
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_document(path: PathLike) -> dict:
+    """Read a JSON document; NaN and Infinity tokens, which
+    :func:`dump_document` never writes, are rejected as invalid JSON."""
     try:
         with open(path) as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ParseError(f"{path}: missing format_version")

@@ -283,6 +283,16 @@ class TestEval:
     def test_out_of_domain_exit_one(self, report):
         assert run(["eval", "--model", str(report), "--at", "200"]) == 1
 
+    @pytest.mark.parametrize("token", ["NaN", "1e999"])
+    def test_non_finite_coefficient_exit_one(self, report, capsys, token):
+        text = report.read_text()
+        doc = json.loads(text)
+        a = repr(doc["models"]["x"]["segments"][0]["a"])
+        assert text.count(f'"a": {a},') == 1
+        report.write_text(text.replace(f'"a": {a},', f'"a": {token},'))
+        assert run(["eval", "--model", str(report), "--at", "10"]) == 1
+        assert "error" in capsys.readouterr().err
+
     def test_var_selection(self, report):
         assert run(["eval", "--model", str(report), "--at", "16", "--var", "x"]) == 0
         assert run(["eval", "--model", str(report), "--at", "16", "--var", "zz"]) == 2

@@ -241,6 +241,21 @@ class TestBuildPiecewise:
         with pytest.raises(NonMonotonicX):
             PiecewisePoly((seg1, seg2), BlendMode.PURE_LAGRANGE)
 
+    @pytest.mark.parametrize("bounds", [
+        [(0.0, 5.0), (5.0, 3.0), (3.0, 10.0)],  # contiguous, but the middle runs back
+        [(0.0, 5.0), (5.0, 5.0), (5.0, 10.0)],  # an empty middle segment
+        [(5.0, 3.0)],
+        [(0.0, math.nan)],
+    ])
+    def test_bounds_must_increase(self, bounds):
+        segments = tuple(
+            QuadraticSegment(0.0, 0.0, float(k), lo, hi, (lo, 0.5 * (lo + hi), hi),
+                             BlendMode.PURE_LAGRANGE)
+            for k, (lo, hi) in enumerate(bounds, 1)
+        )
+        with pytest.raises(NonMonotonicX):
+            PiecewisePoly(segments, BlendMode.PURE_LAGRANGE)
+
 
 class TestEvaluate:
     def test_quadratic_interior(self):
@@ -492,6 +507,17 @@ def oracle_segment_integral(seg, u, v):
     return anti(v) - anti(u)
 
 
+def composed_integral(pw, a, b):
+    """The indexed integral built from the segment methods: the partial
+    segments holding a and b plus the cached whole-segment sums between."""
+    i, j = oracle_index(pw, a), oracle_index(pw, b)
+    first, last = pw.segments[i], pw.segments[j]
+    if i == j:
+        return first.integral(a, b)
+    return (first.integral(a, first.hi) + (pw._prefix[j] - pw._prefix[i + 1])
+            + last.integral(last.lo, b))
+
+
 def oracle_integral(pw, a, b):
     lo, hi = pw.domain
     if a > b:
@@ -540,11 +566,14 @@ class TestIndexedModelMatchesLinearScan:
             assert pw.derivative_at(x) == oracle_derivative(pw, x)
         whole = [seg.integral(seg.lo, seg.hi) for seg in pw.segments]
         assert whole == [oracle_segment_integral(s, s.lo, s.hi) for s in pw.segments]
+        assert pw._prefix == list(itertools.accumulate(whole, initial=0.0))
         tol = 1e-12 * max(abs(v) for v in whole) * len(pw.segments)
         # every ordered pair, so a = b at a knot and a at a segment's right
         # end are both covered
         for a, b in itertools.combinations_with_replacement(points, 2):
-            assert abs(pw.integral(a, b) - oracle_integral(pw, a, b)) <= tol
+            value = pw.integral(a, b)
+            assert value == composed_integral(pw, a, b)
+            assert abs(value - oracle_integral(pw, a, b)) <= tol
 
     @QUERY_SETTINGS
     @given(models_and_points(), st.floats(1e-6, 1e3))

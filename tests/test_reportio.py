@@ -346,6 +346,34 @@ class TestDocuments:
         with pytest.raises(ParseError):
             model_from_json({"mode": "endpoint-secant", "segments": [{"a": 1}]})
 
+    @staticmethod
+    def segment_json(lo, hi, fields=None):
+        return {"a": 0.0, "b": 0.0, "c": 1.0, "lo": lo, "hi": hi,
+                "node_xs": [lo, 0.5 * (lo + hi), hi], **(fields or {})}
+
+    def test_model_from_json_rejects_decreasing_bounds(self):
+        obj = {"mode": "endpoint-secant", "segments": [
+            self.segment_json(0.0, 5.0), self.segment_json(5.0, 3.0), self.segment_json(3.0, 10.0)]}
+        with pytest.raises(NonMonotonicX):
+            model_from_json(obj)
+
+    @pytest.mark.parametrize("fields", [
+        {"a": math.nan}, {"b": math.inf}, {"c": -math.inf}, {"hi": math.nan},
+        {"a": "nan"}, {"node_xs": [0.0, math.inf, 2.0]},
+        {"node_xs": [0.0, 2.0]}, {"node_xs": [0.0, 0.5, 1.0, 2.0]},
+    ])
+    def test_model_from_json_rejects_non_finite_and_bad_nodes(self, fields):
+        obj = {"mode": "endpoint-secant", "segments": [self.segment_json(0.0, 2.0, fields)]}
+        with pytest.raises(ParseError):
+            model_from_json(obj)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_reader_rejects_non_finite_tokens(self, tmp_path, token):
+        path = tmp_path / "nan.json"
+        path.write_text('{"format_version": "1.0", "value": %s}' % token)
+        with pytest.raises(ParseError):
+            load_document(path)
+
     def test_profile_document_and_sweep_series(self, tmp_path):
         target = TargetSpec.for_callable(
             "add", lambda x, b: math.log2(x) + b, ["x", "b"], min_values={"x": 1}
