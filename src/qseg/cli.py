@@ -4,14 +4,16 @@ Subcommands: ``approx`` (model a CSV series or a named function),
 ``profile`` (measure a target and persist a runtime profile), ``classify``
 (rank candidate complexity classes), ``eval`` (evaluate a persisted model).
 
-Exit codes: 0 success, 1 domain error (bad data, failed target), 2 usage.
-The environment variable QSEG_SEED supplies the default seed; an explicit
---seed flag wins over it.
+Exit codes: 0 success, 1 domain error (bad data, failed target, unwritable
+output), 2 usage.  The environment variable QSEG_SEED supplies the default
+seed; an explicit --seed flag wins over it.  ``main`` may be called many
+times in one process: it builds its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shlex
 import sys
@@ -28,7 +30,7 @@ from .classify import (
     classify,
     classify_profile,
 )
-from .errors import GridTooSmall, QsegError
+from .errors import GridTooSmall, QsegError, WriteError
 from .interp import BlendMode, build_piecewise, nodes_from_bounds, sample_function
 from .profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
 from .targets import batch_scale
@@ -58,11 +60,14 @@ def _parse_grid_flag(text: str, parser: argparse.ArgumentParser) -> tuple[str, l
         lo, hi, n = int(lo_s), int(hi_s), int(n_s)
     except ValueError:
         parser.error(f"--grid expects VAR=lo:hi:n, got {text!r}")
+    name = name.strip()
+    if not name:
+        parser.error(f"--grid {text!r} names no variable")
     try:
         grid = integer_grid(lo, hi, n)
     except GridTooSmall as exc:
         parser.error(f"--grid {text!r}: {exc}")
-    return name.strip(), grid
+    return name, grid
 
 
 def _parse_candidates(text: Optional[str], parser: argparse.ArgumentParser):
@@ -168,7 +173,12 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
         command = shlex.split(args.exec_cmd)
         if not command:
             parser.error("--exec command is empty")
-        variables = args.vars.split(",") if args.vars else list(grids)
+        if args.vars is None:
+            variables = list(grids)
+        else:
+            variables = [n.strip() for n in args.vars.split(",")]
+            if not all(variables):
+                parser.error(f"--vars has an empty variable name: {args.vars!r}")
         if not variables:
             parser.error("--exec needs --vars or at least one --grid")
         target = TargetSpec.for_command(command, variables)
@@ -188,6 +198,12 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     mode = BlendMode(args.mode)
+    # fail before the measurements rather than after them
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):
+        raise WriteError(f"cannot write {args.out}: no directory {out_dir}")
+    if os.path.isdir(args.out):
+        raise WriteError(f"cannot write {args.out}: it is a directory")
     profile = build_runtime_profile(target, grids, cfg, mode)
     validation = {
         vp.variable: validate_profile(vp.model, vp.sweep.series)
@@ -328,8 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing neither changes the parser nor shares a mutable default with
+    # the namespace it returns, so main() builds it once, on its first call.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     handlers = {
         "approx": cmd_approx,

@@ -69,3 +69,7 @@ class DegenerateDesign(QsegError):
 
 class ParseError(QsegError):
     """A persisted file could not be parsed."""
+
+
+class WriteError(QsegError):
+    """An output file could not be written."""

@@ -364,9 +364,6 @@ class PiecewisePoly:
         # range.
         return bisect_left(self._his, x)
 
-    def segment_at(self, x: float) -> QuadraticSegment:
-        return self.segments[self._segment_index(x)]
-
     # evaluate, derivative_at and integral repeat _segment_index and the
     # segment methods inline, in the same operation order, so each query
     # runs in one frame.

@@ -24,7 +24,7 @@ import numpy as np
 from . import _plotrows
 from .accuracy import AccuracyReport, ReferenceFn
 from .classify import ProfileClassification
-from .errors import NonMonotonicX, ParseError
+from .errors import NonMonotonicX, ParseError, WriteError
 from .interp import (
     BlendMode,
     PiecewisePoly,
@@ -218,16 +218,19 @@ def emit_plot_data(pw: PiecewisePoly, path: PathLike,
     ``ref`` is raised here, as without helpers.  A run whose helper fails
     is formatted here instead.  The file is written by this process alone
     on one usable CPU, without ``sys.executable``, or when it holds fewer
-    than two runs' rows.
+    than two runs' rows.  A failed write raises :class:`WriteError`.
     """
     fn = ref.fn if ref else None
     runs = _plot_runs(len(pw.segments))
-    with open(path, "wb") as out:
-        out.write(("x,F," + ("G," if fn else "") + "segment_index,is_knot\r\n").encode())
-        if len(runs) == 1:
-            out.writelines(_plot_chunks(pw, fn, runs[0]))
-        else:
-            _write_runs_split(out, pw, fn, runs)
+    try:
+        with open(path, "wb") as out:
+            out.write(("x,F," + ("G," if fn else "") + "segment_index,is_knot\r\n").encode())
+            if len(runs) == 1:
+                out.writelines(_plot_chunks(pw, fn, runs[0]))
+            else:
+                _write_runs_split(out, pw, fn, runs)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc}") from exc
 
 
 # --- JSON documents -------------------------------------------------------
@@ -373,9 +376,14 @@ def approx_document(pw: PiecewisePoly, source: dict,
 
 
 def dump_document(doc: dict, path: PathLike) -> None:
+    """Write ``doc`` as sorted, indented JSON; a failed write raises
+    :class:`WriteError`."""
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
+    try:
+        with open(path, "w") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc}") from exc
 
 
 def _reject_constant(token: str):

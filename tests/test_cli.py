@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
+from qseg import cli
 from qseg.classify import classify_profile
-from qseg.cli import main
-from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile
+from qseg.cli import build_parser, main
+from qseg.errors import TargetFailure
+from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
 from qseg.reportio import dump_document, load_document, profile_document
 from qseg.targets import batch_scale
 
@@ -104,6 +106,14 @@ class TestApprox:
         assert piped.stdout[len(plot):].startswith(b"model: 100 segments")
         assert sorted(os.listdir(tmp_path)) == ["plot.csv", "report.json"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_unwritable_output_exit_one(self, tmp_path, capsys, flag):
+        missing = tmp_path / "missing" / "file"
+        assert run(["approx", "--fn", "log2", "--from", "8", "--to", "64",
+                    "--segments", "3", "--out", str(tmp_path / "r.json"),
+                    flag, str(missing)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -164,6 +174,39 @@ class TestProfile:
     def test_failing_external_exit_one(self, tmp_path):
         assert run(["profile", "--exec", "/nonexistent/prog", "--grid", "x=2:10:3",
                     "--out", str(tmp_path / "x.json")]) == 1
+
+    @pytest.mark.parametrize("out", ["missing/p.json", "."])
+    def test_unwritable_out_fails_before_measuring(self, tmp_path, capsys, monkeypatch, out):
+        def measure(*args):
+            pytest.fail("measured before checking --out")
+
+        monkeypatch.setattr(cli, "build_runtime_profile", measure)
+        path = tmp_path / out
+        assert run(["profile", "--target", "binary-search", "--grid", "x=64:1024:3",
+                    "--out", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+    def test_vars_names_are_stripped(self, tmp_path, monkeypatch):
+        declared = []
+
+        def measure(target, *args):
+            declared.append(target.variable_names)
+            raise TargetFailure("not measured")
+
+        monkeypatch.setattr(cli, "build_runtime_profile", measure)
+        assert run(["profile", "--exec", "prog", "--vars", " x, b ", "--grid", "x=2:10:3",
+                    "--grid", "b=2:10:3", "--out", str(tmp_path / "p.json")]) == 1
+        assert declared == [("x", "b")]
+
+    def test_empty_grid_name_exit_two(self, capsys):
+        assert run(["profile", "--exec", "prog", "--grid", " =2:10:3"]) == 2
+        assert "names no variable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", ["x,", "x, ,b", " ", ""])
+    def test_empty_vars_name_exit_two(self, capsys, names):
+        assert run(["profile", "--exec", "prog", "--vars", names,
+                    "--grid", "x=2:10:3"]) == 2
+        assert "--vars has an empty variable name" in capsys.readouterr().err
 
     @pytest.mark.integration
     def test_two_variable_target_additive_label(self, tmp_path):
@@ -326,3 +369,66 @@ class TestHelp:
         assert run([sub, "--help"]) == 0
         out = capsys.readouterr().out
         assert "--" in out
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process; every call still parses
+    its own argv and reads QSEG_SEED afresh."""
+
+    def test_parser_built_once(self, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(["approx"]) == 2
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_usage_errors_leave_output_unchanged(self, tmp_path):
+        def approx(stem):
+            out, plot = tmp_path / f"{stem}.json", tmp_path / f"{stem}.csv"
+            assert run(["approx", "--fn", "cospix", "--from", "0", "--to", "1.5",
+                        "--segments", "3", "--mode", "trailing-secant",
+                        "--out", str(out), "--plot", str(plot)]) == 0
+            return out.read_bytes(), plot.read_bytes()
+
+        first = approx("a")
+        assert run(["approx", "--fn", "log2", "--segments", "three"]) == 2
+        assert run(["approx", "--fn", "log2", "--from", "8", "--to", "4",
+                    "--segments", "3", "--mode", "pure-lagrange"]) == 2
+        assert approx("b") == first
+
+    def test_grids_do_not_carry_over(self, tmp_path):
+        out = tmp_path / "p.json"
+        for grid in ("x=64:1024:3", "x=128:2048:5"):
+            assert run(["profile", "--target", "binary-search", "--grid", grid,
+                        "--reps", "3", "--out", str(out)]) == 0
+        doc = load_document(out)
+        assert doc["config"]["grids"] == {"x": integer_grid(128, 2048, 5)}
+        assert len(doc["sweeps"]) == 1
+        assert len(doc["sweeps"][0]["samples"]) == 5
+
+    def test_env_seed_read_per_call(self, tmp_path, monkeypatch):
+        for seed in (5, 6):
+            monkeypatch.setenv("QSEG_SEED", str(seed))
+            out = tmp_path / f"{seed}.json"
+            assert run(["profile", "--target", "binary-search", "--grid", "x=64:1024:3",
+                        "--reps", "3", "--out", str(out)]) == 0
+            assert load_document(out)["config"]["seed"] == seed
+
+    @pytest.mark.parametrize("sub", ["approx", "profile", "classify", "eval"])
+    def test_help_matches_fresh_parser(self, sub, capsys):
+        assert run(["approx"]) == 2
+        capsys.readouterr()
+        assert run([sub, "--help"]) == 0
+        cached = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([sub, "--help"])
+        assert capsys.readouterr().out == cached
