@@ -12,7 +12,9 @@ threads of one process, CPU-time attribution breaks.
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
+import math
 import statistics
 import subprocess
 import time
@@ -268,7 +270,7 @@ def _aggregate(cfg: MeasureConfig, times: list[float]) -> tuple[float, float]:
     if cfg.aggregator == "median":
         agg = statistics.median(times)
     elif cfg.aggregator == "mean":
-        agg = statistics.fmean(times)
+        agg = statistics.mean(times)
     else:
         agg = min(times)
     return float(agg), float(statistics.stdev(times))
@@ -323,35 +325,53 @@ def _run_external_once(target: TargetSpec, args: dict[str, int]) -> float:
 def _run_once(target: TargetSpec, args: dict[str, int], cfg: MeasureConfig, rep: int) -> float:
     if target.kind is TargetKind.BUILTIN:
         return _run_builtin_once(target, args, cfg, rep)
-    return _run_external_once(target, args)
-
-
-def _synthetic_sample(target: TargetSpec, args: dict[str, int]) -> TimingSample:
+    if target.kind is TargetKind.EXTERNAL:
+        return _run_external_once(target, args)
     assert target.evaluator is not None
     try:
         value = float(target.evaluator(**{n: args[n] for n in target.variable_names}))
     except Exception as exc:
         raise TargetFailure(f"synthetic {target.name} raised: {exc}") from exc
-    return TimingSample(dict(args), value, 0.0, clock="synthetic")
+    if not math.isfinite(value):
+        raise TargetFailure(f"synthetic {target.name} returned {value} at {args}")
+    return value
 
 
-def _finalize_sample(target: TargetSpec, args: dict[str, int], cfg: MeasureConfig,
-                     times: list[float], clock: str) -> TimingSample:
-    cpu_seconds, dispersion = _aggregate(cfg, times)
-    if 0.0 <= cpu_seconds < RESOLUTION_MARGIN * effective_clock_tick():
-        warnings.warn(
-            f"{target.name} at {args}: {cpu_seconds:.3e}s is within "
-            f"{RESOLUTION_MARGIN}x of the clock step",
-            TimerResolutionWarning,
-            stacklevel=3,
-        )
-    return TimingSample(dict(args), cpu_seconds, dispersion, clock=clock)
+def _measure_points(target: TargetSpec, arg_sets: Sequence[dict[str, int]],
+                    cfg: MeasureConfig) -> tuple[TimingSample, ...]:
+    """Measure each argument set: warm up, repeat, aggregate.
 
-
-def _validate_args(target: TargetSpec, args: dict[str, int]) -> None:
-    missing = [n for n in target.variable_names if n not in args]
+    Repetitions are interleaved round-robin across the sets (rep 0 of every
+    set, then rep 1, ...) so slow periods of a loaded machine spread over
+    all points instead of distorting one of them.
+    """
+    missing = [n for n in target.variable_names if any(n not in args for args in arg_sets)]
     if missing:
         raise ValueError(f"missing argument values for {missing}")
+    if target.kind is TargetKind.SYNTHETIC:
+        clock = "synthetic"
+    elif target.kind is TargetKind.BUILTIN:
+        clock = "process-cpu"
+    else:
+        clock = _external_child_clock()[1]
+    times: list[list[float]] = [[] for _ in arg_sets]
+    for rep in range(cfg.warmup_runs + cfg.repetitions):
+        for i, args in enumerate(arg_sets):
+            elapsed = _run_once(target, args, cfg, rep)
+            if rep >= cfg.warmup_runs:
+                times[i].append(elapsed)
+    samples = []
+    for args, point_times in zip(arg_sets, times):
+        value, dispersion = _aggregate(cfg, point_times)
+        if clock != "synthetic" and 0.0 <= value < RESOLUTION_MARGIN * effective_clock_tick():
+            warnings.warn(
+                f"{target.name} at {args}: {value:.3e}s is within "
+                f"{RESOLUTION_MARGIN}x of the clock step",
+                TimerResolutionWarning,
+                stacklevel=3,
+            )
+        samples.append(TimingSample(dict(args), value, dispersion, clock=clock))
+    return tuple(samples)
 
 
 def measure(target: TargetSpec, args: dict[str, int], cfg: MeasureConfig) -> TimingSample:
@@ -360,53 +380,22 @@ def measure(target: TargetSpec, args: dict[str, int], cfg: MeasureConfig) -> Tim
     Input data is regenerated per repetition from the seed, so a fixed seed
     gives identical argument/data sequences while timings stay honest.
     """
-    _validate_args(target, args)
-    if target.kind is TargetKind.SYNTHETIC:
-        return _synthetic_sample(target, args)
-    clock = "process-cpu" if target.kind is TargetKind.BUILTIN else _external_child_clock()[1]
-    times = []
-    for rep in range(cfg.warmup_runs + cfg.repetitions):
-        elapsed = _run_once(target, args, cfg, rep)
-        if rep >= cfg.warmup_runs:
-            times.append(elapsed)
-    return _finalize_sample(target, args, cfg, times, clock)
+    return _measure_points(target, [args], cfg)[0]
 
 
 def sweep_single(target: TargetSpec, variable: str, grid: Sequence[int],
                  fixed: dict[str, int], cfg: MeasureConfig) -> SweepResult:
-    """Measure one point per grid value of ``variable``; everything else
-    pinned at ``fixed``.
-
-    Repetitions are interleaved round-robin across the grid (rep 0 of every
-    point, then rep 1, ...) so slow periods of a loaded machine spread over
-    all points instead of distorting one of them.
-    """
+    """Measure one point per grid value of ``variable``, everything else
+    pinned at ``fixed``, with repetitions interleaved across the grid."""
     grid = _checked_grid(grid, f"grid for {variable}")
-    others = [n for n in target.variable_names if n != variable]
-    missing = [n for n in others if n not in fixed]
-    if missing:
-        raise ValueError(f"fixed values missing for {missing}")
+    pinned = {n: int(fixed[n]) for n in target.variable_names if n != variable and n in fixed}
     log.debug("sweep %s over %s fixed=%s", variable, grid, fixed)
-    arg_sets = [{**{n: fixed[n] for n in others}, variable: g} for g in grid]
-    if target.kind is TargetKind.SYNTHETIC:
-        samples = tuple(_synthetic_sample(target, args) for args in arg_sets)
-    else:
-        clock = "process-cpu" if target.kind is TargetKind.BUILTIN else _external_child_clock()[1]
-        times: list[list[float]] = [[] for _ in grid]
-        for rep in range(cfg.warmup_runs + cfg.repetitions):
-            for i, args in enumerate(arg_sets):
-                elapsed = _run_once(target, args, cfg, rep)
-                if rep >= cfg.warmup_runs:
-                    times[i].append(elapsed)
-        samples = tuple(
-            _finalize_sample(target, args, cfg, times[i], clock)
-            for i, args in enumerate(arg_sets)
-        )
+    samples = _measure_points(target, [{**pinned, variable: g} for g in grid], cfg)
     series = SampleSeries.from_arrays(
         grid, [s.cpu_seconds for s in samples],
         label=f"{target.name}:{variable}",
     )
-    return SweepResult(variable, {n: int(fixed[n]) for n in others}, samples, series)
+    return SweepResult(variable, pinned, samples, series)
 
 
 def profile_variable(sweep: SweepResult, mode: BlendMode) -> VariableProfile:
@@ -431,6 +420,11 @@ def detect_interaction(target: TargetSpec, var_a: str, var_b: str,
     """
     if target.arity < 2:
         raise InsufficientArity(f"{target.name} has arity {target.arity}")
+    if var_a == var_b or not {var_a, var_b} <= set(target.variable_names):
+        raise ValueError(
+            f"need two distinct variables of {target.name} {list(target.variable_names)}, "
+            f"got {var_a!r} and {var_b!r}"
+        )
     probes = sorted(set(int(p) for p in probes_b))
     if len(probes) < 2:
         raise ValueError("need at least two distinct probe values")
@@ -488,7 +482,7 @@ def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
     missing = [n for n in names if n not in grids]
     if missing:
         raise GridTooSmall(f"no grid declared for {missing}")
-    grids = {n: [int(g) for g in grids[n]] for n in names}
+    grids = {n: _checked_grid(grids[n], f"grid for {n}") for n in names}
     for name in names:
         spec = target.arg_spec(name)
         if grids[name][0] < spec.min_value:
@@ -496,16 +490,15 @@ def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
                 f"grid for {name} starts below its validity floor {spec.min_value}"
             )
 
-    first_constants = {
-        n: _first_pass_constant(target.arg_spec(n), grids[n]) for n in names
-    }
-    coarse: dict[str, VariableProfile] = {}
-    for name in names:
-        fixed = {n: first_constants[n] for n in names if n != name}
-        coarse[name] = profile_variable(
-            sweep_single(target, name, grids[name], fixed, cfg), mode
-        )
+    def sweep_all(constants: dict[str, int]) -> dict[str, VariableProfile]:
+        return {
+            name: profile_variable(sweep_single(
+                target, name, grids[name], {n: constants[n] for n in names if n != name}, cfg
+            ), mode)
+            for name in names
+        }
 
+    coarse = sweep_all({n: _first_pass_constant(target.arg_spec(n), grids[n]) for n in names})
     if target.arity == 1:
         return RuntimeProfile(target, (coarse[names[0]],), ())
 
@@ -513,21 +506,13 @@ def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
         n: _representative_constant(target.arg_spec(n), grids[n], coarse[n].model)
         for n in names
     }
-    profiles = []
-    for name in names:
-        fixed = {n: rep_constants[n] for n in names if n != name}
-        profiles.append(profile_variable(
-            sweep_single(target, name, grids[name], fixed, cfg), mode
-        ))
+    profiles = sweep_all(rep_constants)
 
     interactions = []
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            var_a, var_b = names[i], names[j]
-            grid_b = grids[var_b]
-            probes = sorted({grid_b[0], grid_b[-1]})
-            fixed = {n: rep_constants[n] for n in names if n not in (var_a, var_b)}
-            interactions.append(detect_interaction(
-                target, var_a, var_b, grids[var_a], probes, fixed, cfg
-            ))
-    return RuntimeProfile(target, tuple(profiles), tuple(interactions))
+    for var_a, var_b in itertools.combinations(names, 2):
+        probes = sorted({grids[var_b][0], grids[var_b][-1]})
+        fixed = {n: rep_constants[n] for n in names if n not in (var_a, var_b)}
+        interactions.append(detect_interaction(
+            target, var_a, var_b, grids[var_a], probes, fixed, cfg
+        ))
+    return RuntimeProfile(target, tuple(profiles.values()), tuple(interactions))

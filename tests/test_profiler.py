@@ -59,12 +59,22 @@ class TestMeasureConfig:
 
 
 class TestMeasureSynthetic:
-    def test_value_passthrough(self):
-        target = synthetic("f", lambda x, b: 2.0 * x + b, ["x", "b"])
-        sample = measure(target, {"x": 3, "b": 1}, CFG)
-        assert sample.cpu_seconds == 7.0
+    @pytest.mark.parametrize("aggregator", ["median", "mean", "min"])
+    def test_value_passthrough(self, aggregator):
+        # (3 - 1) / 20 is the double nearest 0.1; a float mean of three
+        # copies of it is not
+        target = synthetic("f", lambda x, b: (x - b) / 20, ["x", "b"])
+        cfg = MeasureConfig(repetitions=3, aggregator=aggregator)
+        sample = measure(target, {"x": 3, "b": 1}, cfg)
+        assert sample.cpu_seconds == 0.1
         assert sample.dispersion == 0.0
         assert sample.clock == "synthetic"
+
+    def test_no_resolution_warning(self):
+        target = synthetic("f", lambda x: 1e-9, ["x"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TimerResolutionWarning)
+            assert measure(target, {"x": 1}, CFG).cpu_seconds == 1e-9
 
     def test_missing_args(self):
         target = synthetic("f", lambda x, b: x + b, ["x", "b"])
@@ -75,6 +85,14 @@ class TestMeasureSynthetic:
         target = synthetic("f", lambda x: math.log2(x), ["x"])
         with pytest.raises(TargetFailure):
             measure(target, {"x": 0}, CFG)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_value_rejected(self, value):
+        target = synthetic("f", lambda x: value, ["x"])
+        with pytest.raises(TargetFailure):
+            measure(target, {"x": 1}, CFG)
+        with pytest.raises(TargetFailure):
+            sweep_single(target, "x", [1, 2, 3], {}, CFG)
 
 
 class TestMeasureBuiltin:
@@ -190,11 +208,24 @@ class TestSweepSingle:
             profiler, "_run_once",
             lambda t, args, cfg, rep: calls.append((rep, args["x"])) or 0.01,
         )
-        sweep_single(target, "x", [1, 2, 3], {}, MeasureConfig(repetitions=3, seed=0))
+        cfg = MeasureConfig(repetitions=3, seed=0)
+        sweep_single(target, "x", [1, 2, 3], {}, cfg)
         # round-robin: every grid point at rep r before any point at r+1
         reps = [r for r, _ in calls]
         assert reps == sorted(reps)
         assert [x for _, x in calls[:3]] == [1, 2, 3]
+
+        calls.clear()
+        measure(target, {"x": 5}, cfg)
+        assert calls == [(rep, 5) for rep in range(cfg.warmup_runs + cfg.repetitions)]
+
+    def test_synthetic_sweep_runs_every_repetition(self):
+        # synthetic targets go through the same loop as timed ones
+        calls = []
+        target = synthetic("f", lambda x: calls.append(x) or float(x), ["x"])
+        cfg = MeasureConfig(warmup_runs=2, repetitions=3)
+        sweep_single(target, "x", [1, 2, 3], {}, cfg)
+        assert calls == [1, 2, 3] * (cfg.warmup_runs + cfg.repetitions)
 
 
 class TestProfileVariable:
@@ -246,6 +277,13 @@ class TestDetectInteraction:
         with pytest.raises(ValueError):
             detect_interaction(target, "x", "b", LOG_GRID, [3, 3], {}, CFG)
 
+    @pytest.mark.parametrize("var_a, var_b", [("x", "zz"), ("zz", "b"), ("x", "x")])
+    def test_needs_two_target_variables(self, var_a, var_b):
+        target = synthetic("mul", lambda x, b: math.log2(x) * b, ["x", "b"],
+                           min_values={"x": 1})
+        with pytest.raises(ValueError, match="two distinct variables"):
+            detect_interaction(target, var_a, var_b, LOG_GRID, [1, 5], {"b": 1}, CFG)
+
 
 class TestBuildRuntimeProfile:
     def test_arity_one(self):
@@ -279,6 +317,14 @@ class TestBuildRuntimeProfile:
         target = synthetic("add", lambda x, b: float(x + b), ["x", "b"])
         with pytest.raises(GridTooSmall):
             build_runtime_profile(target, {"x": LIN_GRID}, CFG)
+
+    @pytest.mark.parametrize("grid_b", [[], [1, 2]])
+    def test_short_grid_rejected_before_measuring(self, grid_b):
+        calls = []
+        target = synthetic("add", lambda x, b: calls.append(x) or float(x + b), ["x", "b"])
+        with pytest.raises(GridTooSmall, match="grid for b"):
+            build_runtime_profile(target, {"x": LIN_GRID, "b": grid_b}, CFG)
+        assert calls == []
 
     def test_grid_below_validity_floor(self):
         target = synthetic("lg", lambda x: math.log2(x), ["x"], min_values={"x": 1})
