@@ -264,20 +264,14 @@ def build_segment(p0: SamplePoint, p1: SamplePoint, p2: SamplePoint, mode: Blend
     return QuadraticSegment(a, b, c, p0.x, p2.x, (p0.x, p1.x, p2.x), mode)
 
 
-def build_piecewise(series: SampleSeries, mode: BlendMode, drop_last: bool = False) -> "PiecewisePoly":
+def build_piecewise(series: SampleSeries, mode: BlendMode) -> "PiecewisePoly":
     """Chain segments over consecutive node triples 0-1-2, 2-3-4, ...
 
-    Needs an odd number of points (2m+1 points give m segments); pass
-    ``drop_last=True`` to silently discard the final point of an
-    even-length series instead of raising.
+    Needs an odd number of points: 2m+1 points give m segments.
     """
     points = series.points
     if len(points) % 2 == 0:
-        if not drop_last:
-            raise EvenSeries(
-                f"series has {len(points)} points; need an odd count >= 3"
-            )
-        points = points[:-1]
+        raise EvenSeries(f"series has {len(points)} points; need an odd count >= 3")
     if len(points) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(points)}")
     segments = tuple(
@@ -297,15 +291,15 @@ class PiecewisePoly:
     across the jump.
 
     Construction costs O(m) for m segments.  It checks that every segment's
-    bounds increase and meet the next segment's, and caches flat per-segment
-    lists: the bounds, the coefficients a, b and c, the antiderivative's
-    a/3 and b/2, and the running sum of whole-segment integrals.  Each
-    ``evaluate``, ``derivative_at`` and ``integral`` call is then one bounds
-    check, one bisection of the upper bounds and closed-form arithmetic on
-    those lists, O(log m), with results equal bit for bit to the segment
-    methods (``QuadraticSegment.value``, ``derivative`` and ``integral``).
-    The caches are plain attributes, not fields, so equality, ``repr`` and
-    hashing see only ``segments`` and ``mode``.
+    bounds increase and meet the next segment's, and caches the upper
+    bounds, each segment's antiderivative coefficients ``(a/3, b/2, c)``
+    and the running sum of whole-segment integrals.  A query bisects the
+    upper bounds, O(log m), and does the arithmetic of the segment methods
+    (``QuadraticSegment.value``, ``derivative`` and ``integral``) on the
+    owning segment, or on the end segments' triples and the prefix sums,
+    so it equals them bit for bit.  The caches are plain attributes, not
+    fields, so equality, ``repr`` and hashing see only ``segments`` and
+    ``mode``.
     """
 
     segments: tuple[QuadraticSegment, ...]
@@ -333,15 +327,9 @@ class PiecewisePoly:
         cache = {
             "_lo": segments[0].lo,
             "_hi": edge,
-            "_los": [seg.lo for seg in segments],
             "_his": [seg.hi for seg in segments],
-            "_a": [seg.a for seg in segments],
-            "_b": [seg.b for seg in segments],
-            "_c": [seg.c for seg in segments],
-            # the antiderivative's coefficients, as QuadraticSegment.integral
-            # computes them
-            "_a3": [seg.a / 3.0 for seg in segments],
-            "_b2": [seg.b / 2.0 for seg in segments],
+            # as QuadraticSegment.integral computes them
+            "_anti": [(seg.a / 3.0, seg.b / 2.0, seg.c) for seg in segments],
             "_prefix": prefix,
         }
         for name, value in cache.items():
@@ -351,28 +339,14 @@ class PiecewisePoly:
     def domain(self) -> tuple[float, float]:
         return self._lo, self._hi
 
-    @property
-    def knots(self) -> tuple[float, ...]:
-        """Interior transition points between adjacent segments."""
-        return tuple(self._his[:-1])
-
-    def _segment_index(self, x: float) -> int:
-        if not (self._lo <= x <= self._hi):
-            raise OutOfDomain(f"x = {x} outside [{self._lo}, {self._hi}]")
-        # bisect on segment upper bounds: at a shared knot the left segment
-        # (whose hi equals x) wins.  x <= the last bound, so the index is in
-        # range.
-        return bisect_left(self._his, x)
-
-    # evaluate, derivative_at and integral repeat _segment_index and the
-    # segment methods inline, in the same operation order, so each query
-    # runs in one frame.
+    # Each query repeats the segment methods inline, in their operation
+    # order, so that it runs in one frame.
 
     def evaluate(self, x: float) -> float:
         if not (self._lo <= x <= self._hi):
             raise OutOfDomain(f"x = {x} outside [{self._lo}, {self._hi}]")
-        i = bisect_left(self._his, x)
-        return (self._a[i] * x + self._b[i]) * x + self._c[i]
+        seg = self.segments[bisect_left(self._his, x)]
+        return (seg.a * x + seg.b) * x + seg.c
 
     def derivative_at(self, x: float) -> tuple[float, float]:
         """One-sided derivatives (left, right) at x.
@@ -383,12 +357,12 @@ class PiecewisePoly:
         """
         if not (self._lo <= x <= self._hi):
             raise OutOfDomain(f"x = {x} outside [{self._lo}, {self._hi}]")
-        his = self._his
-        i = bisect_left(his, x)
-        a, b = self._a, self._b
-        left = 2.0 * a[i] * x + b[i]
-        if x == his[i] and i + 1 < len(his):
-            return left, 2.0 * a[i + 1] * x + b[i + 1]
+        i = bisect_left(self._his, x)
+        seg = self.segments[i]
+        left = 2.0 * seg.a * x + seg.b
+        if x == seg.hi and i + 1 < len(self.segments):
+            seg = self.segments[i + 1]
+            return left, 2.0 * seg.a * x + seg.b
         return left, left
 
     def integral(self, a: float, b: float) -> float:
@@ -404,14 +378,13 @@ class PiecewisePoly:
         his = self._his
         i = bisect_left(his, a)
         j = bisect_left(his, b)
-        a3s, b2s, cs = self._a3, self._b2, self._c
-        p3, p2, p = a3s[i], b2s[i], cs[i]
+        p3, p2, p = self._anti[i]
         if i == j:
             return ((p3 * b + p2) * b + p) * b - ((p3 * a + p2) * a + p) * a
         v = his[i]
         head = ((p3 * v + p2) * v + p) * v - ((p3 * a + p2) * a + p) * a
-        q3, q2, q = a3s[j], b2s[j], cs[j]
-        u = self._los[j]
+        q3, q2, q = self._anti[j]
+        u = his[j - 1]  # segment j's lo, by contiguity
         tail = ((q3 * b + q2) * b + q) * b - ((q3 * u + q2) * u + q) * u
         return head + (self._prefix[j] - self._prefix[i + 1]) + tail
 

@@ -416,6 +416,8 @@ def load_document(path: PathLike) -> dict:
 
 def models_from_document(doc: dict) -> dict[str, PiecewisePoly]:
     models = doc.get("models") or {}
+    if not isinstance(models, dict):
+        raise ParseError(f"models is a JSON {type(models).__name__}, not an object")
     return {name: model_from_json(obj) for name, obj in models.items()}
 
 
@@ -440,7 +442,9 @@ def profile_from_document(doc: dict) -> RuntimeProfile:
     per variable and the pair labels, under a target that keeps its kind,
     name, variables and command but has no runner (validity floors are not
     recorded).  Raises ParseError when the document holds no sweeps or is
-    malformed."""
+    malformed: among other faults, when the sweeps repeat a variable or
+    name one the target does not declare, or a pair label is not
+    ``additive`` or ``composite`` of two distinct swept variables."""
     if not doc.get("sweeps"):
         raise ParseError("profile document contains no sweeps")
     try:
@@ -455,11 +459,21 @@ def profile_from_document(doc: dict) -> RuntimeProfile:
             VariableProfile(sweep["variable"], _sweep_from_json(sweep), models[sweep["variable"]])
             for sweep in doc["sweeps"]
         )
+        swept = [vp.variable for vp in profiles]
+        if len(set(swept)) < len(swept) or not set(swept) <= set(spec.variable_names):
+            raise ValueError(f"sweeps of {swept} repeat a variable or name one "
+                             f"not in the target's {list(spec.variable_names)}")
         interactions = tuple(
             InteractionLabel(tuple(item["pair"]), item["label"],
                              float(item["evidence"]), float(item["threshold"]))
             for item in doc.get("interactions") or []
         )
+        for label in interactions:
+            pair = label.pair
+            if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(swept):
+                raise ValueError(f"pair {list(pair)} is not two distinct swept variables")
+            if label.label not in ("additive", "composite"):
+                raise ValueError(f"pair label {label.label!r} is neither additive nor composite")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed profile document: {exc}") from exc
     return RuntimeProfile(spec, profiles, interactions)

@@ -289,6 +289,19 @@ class TestClassify:
         assert run(["classify", "--profile", str(path)]) == 1
         assert "no sweeps" in capsys.readouterr().err
 
+    def test_pair_of_unswept_variable_exit_one(self, tmp_path, capsys):
+        target = TargetSpec.for_callable(
+            "add", lambda x, b: math.log2(x) + b, ["x", "b"], min_values={"x": 1}
+        )
+        grids = {"x": [8, 16, 32, 64, 128], "b": [1, 8, 16, 32, 64]}
+        doc = profile_document(build_runtime_profile(target, grids, MeasureConfig(seed=5)), {})
+        doc["interactions"][0].update(pair=["x", "zz"], label="composite")
+        path = tmp_path / "bad-pair.json"
+        dump_document(doc, path)
+        assert run(["classify", "--profile", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_both_sources_exit_two(self, series_csv, tmp_path):
         assert run(["classify", "--input", str(series_csv),
                     "--profile", str(tmp_path / "p.json")]) == 2
@@ -335,6 +348,12 @@ class TestEval:
         report.write_text(text.replace(f'"a": {a},', f'"a": {token},'))
         assert run(["eval", "--model", str(report), "--at", "10"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_models_not_an_object_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps({"format_version": "1.0", "models": [1]}))
+        assert run(["eval", "--model", str(path), "--at", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_var_selection(self, report):
         assert run(["eval", "--model", str(report), "--at", "16", "--var", "x"]) == 0

@@ -1,6 +1,7 @@
 """Round-trip and format-stability tests for the persistence layer."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -43,6 +44,17 @@ def log2_model(mode=BlendMode.ENDPOINT_SECANT):
     return build_piecewise(
         sample_function(math.log2, nodes_from_bounds([8, 16, 32, 64])), mode
     )
+
+
+@functools.cache
+def synthetic_profile_json():
+    """A two-variable synthetic profile document, with one pair label."""
+    target = TargetSpec.for_callable(
+        "add", lambda x, b: math.log2(x) + b, ["x", "b"], min_values={"x": 1}
+    )
+    grids = {"x": [8, 16, 32, 64, 128], "b": [1, 8, 16, 32, 64]}
+    profile = build_runtime_profile(target, grids, MeasureConfig(seed=5))
+    return json.dumps(profile_document(profile, {"seed": 5, "grids": grids}))
 
 
 class TestSeriesCsv:
@@ -417,8 +429,20 @@ class TestDocuments:
         {"target": {"kind": "warp-drive", "name": "f", "variables": ["x"], "command": None},
          "sweeps": [], "models": {}},
         {"sweeps": [{"variable": "x"}]},
+        # mutations of a real synthetic profile document
+        pytest.param(lambda d: d["interactions"][0].update(pair=["x", "zz"]), id="pair-unswept"),
+        pytest.param(lambda d: d["interactions"][0].update(pair=["x"]), id="pair-of-one"),
+        pytest.param(lambda d: d["interactions"][0].update(pair=["b", "b"]), id="pair-repeated"),
+        pytest.param(lambda d: d["interactions"][0].update(label="bogus"), id="label-unknown"),
+        pytest.param(lambda d: d["sweeps"].append(d["sweeps"][0]), id="sweep-repeated"),
+        pytest.param(lambda d: d["target"].update(variables=["x", "c"]), id="sweep-undeclared"),
+        pytest.param(lambda d: d.update(models=[1]), id="models-list"),
     ])
     def test_profile_from_document_rejects_malformed(self, doc):
+        if callable(doc):
+            mutate, doc = doc, json.loads(synthetic_profile_json())
+            profile_from_document(doc)
+            mutate(doc)
         with pytest.raises(ParseError):
             profile_from_document(doc)
 
