@@ -202,18 +202,11 @@ def compose_summary(order: Sequence[str], winners: dict[str, str],
 
     for a, b in composite_pairs:
         parent[find(a)] = find(b)
+    # groups keep the order of their first variable, members their own order
     groups: dict[str, list[str]] = {}
     for v in order:
         groups.setdefault(find(v), []).append(v)
-    parts = []
-    seen = set()
-    for v in order:
-        root = find(v)
-        if root in seen:
-            continue
-        seen.add(root)
-        parts.append(" · ".join(f"{winners[w]}({w})" for w in groups[root]))
-    return " + ".join(parts)
+    return " + ".join(" · ".join(f"{winners[w]}({w})" for w in group) for group in groups.values())
 
 
 def classify_profile(profile, candidates: Sequence[CandidateClass] = DEFAULT_CANDIDATES) -> ProfileClassification:

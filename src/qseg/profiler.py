@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GridTooSmall, InsufficientArity, TargetFailure
 from .interp import BlendMode, PiecewisePoly, SampleSeries, build_piecewise
-from .targets import BUILTIN_TARGETS, ArgSpec, BuiltinTarget
+from .targets import BUILTIN_TARGETS, ArgSpec, BuiltinTarget, effective_clock_tick
 
 log = logging.getLogger(__name__)
 
@@ -45,37 +45,8 @@ class TimerResolutionWarning(UserWarning):
 
 
 def _cpu_clock() -> float:
-    # module-level indirection so tests can fake the clock
+    # module-level indirection so tests can fake the clock of timed runs
     return time.process_time()
-
-
-def _cpu_clock_resolution() -> float:
-    return time.get_clock_info("process_time").resolution
-
-
-_effective_tick: Optional[float] = None
-
-
-def effective_clock_tick() -> float:
-    """Measured granularity of the process-CPU clock.
-
-    Kernels that account CPU in jiffies advance the clock in ~1-10ms steps
-    regardless of the advertised nanosecond resolution; noise floors and
-    the builtin targets' batch sizes (``targets.batch_scale``) must use the
-    real step.  Measured once and cached.
-    """
-    global _effective_tick
-    if _effective_tick is None:
-        steps = []
-        last = _cpu_clock()
-        deadline = time.perf_counter() + 0.5
-        while len(steps) < 3 and time.perf_counter() < deadline:
-            cur = _cpu_clock()
-            if cur > last:
-                steps.append(cur - last)
-                last = cur
-        _effective_tick = max(min(steps) if steps else 0.0, _cpu_clock_resolution())
-    return _effective_tick
 
 
 class TargetKind(enum.Enum):
@@ -112,24 +83,16 @@ class TargetSpec:
     def for_command(cls, command: Sequence[str], variables: Sequence[str],
                     min_values: Optional[dict[str, int]] = None) -> "TargetSpec":
         floors = min_values or {}
-        return cls(
-            TargetKind.EXTERNAL,
-            command[0],
-            tuple(ArgSpec(v, min_value=floors.get(v, 0)) for v in variables),
-            command=tuple(command),
-        )
+        specs = tuple(ArgSpec(v, min_value=floors.get(v, 0)) for v in variables)
+        return cls(TargetKind.EXTERNAL, command[0], specs, command=tuple(command))
 
     @classmethod
     def for_callable(cls, name: str, evaluator: Callable[..., float],
                      variables: Sequence[str],
                      min_values: Optional[dict[str, int]] = None) -> "TargetSpec":
         floors = min_values or {}
-        return cls(
-            TargetKind.SYNTHETIC,
-            name,
-            tuple(ArgSpec(v, min_value=floors.get(v, 0)) for v in variables),
-            evaluator=evaluator,
-        )
+        specs = tuple(ArgSpec(v, min_value=floors.get(v, 0)) for v in variables)
+        return cls(TargetKind.SYNTHETIC, name, specs, evaluator=evaluator)
 
     @property
     def arity(self) -> int:
@@ -156,6 +119,11 @@ class TargetSpec:
         return out
 
 
+_AGGREGATORS: dict[str, Callable[[list[float]], float]] = {
+    "median": statistics.median, "mean": statistics.mean, "min": min,
+}
+
+
 @dataclass(frozen=True)
 class MeasureConfig:
     """How each point is measured.
@@ -177,7 +145,7 @@ class MeasureConfig:
             raise ValueError("repetitions must be >= 3")
         if self.warmup_runs < 1:
             raise ValueError("warmup_runs must be >= 1")
-        if self.aggregator not in ("median", "mean", "min"):
+        if self.aggregator not in _AGGREGATORS:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
 
 
@@ -267,74 +235,72 @@ def _seed_material(cfg: MeasureConfig, args: dict[str, int], rep: int) -> list[i
 
 
 def _aggregate(cfg: MeasureConfig, times: list[float]) -> tuple[float, float]:
-    if cfg.aggregator == "median":
-        agg = statistics.median(times)
-    elif cfg.aggregator == "mean":
-        agg = statistics.mean(times)
-    else:
-        agg = min(times)
-    return float(agg), float(statistics.stdev(times))
+    return float(_AGGREGATORS[cfg.aggregator](times)), float(statistics.stdev(times))
 
 
-def _run_builtin_once(target: TargetSpec, args: dict[str, int],
-                      cfg: MeasureConfig, rep: int) -> float:
-    builtin = target.builtin
-    assert builtin is not None
-    rng = np.random.default_rng(_seed_material(cfg, args, rep))
-    payload = builtin.setup(args, rng)
-    try:
-        start = _cpu_clock()
-        builtin.run(payload)
-        return _cpu_clock() - start
-    except Exception as exc:
-        raise TargetFailure(f"builtin {target.name} raised: {exc}") from exc
-
-
-def _external_child_clock() -> tuple[Callable[[], float], str]:
-    try:
-        import resource
-
-        def child_cpu() -> float:
-            ru = resource.getrusage(resource.RUSAGE_CHILDREN)
-            return ru.ru_utime + ru.ru_stime
-
-        return child_cpu, "process-cpu"
-    except ImportError:  # pragma: no cover - non-Unix fallback
-        return time.perf_counter, "wall"
-
-
-def _run_external_once(target: TargetSpec, args: dict[str, int]) -> float:
-    assert target.command is not None
-    argv = list(target.command)
-    for name in target.variable_names:
-        argv += ["--var", f"{name}={args[name]}"]
-    child_cpu, _ = _external_child_clock()
-    before = child_cpu()
-    try:
-        proc = subprocess.run(argv, capture_output=True)
-    except OSError as exc:
-        raise TargetFailure(f"cannot run {argv[0]!r}: {exc}") from exc
-    elapsed = child_cpu() - before
-    if proc.returncode != 0:
-        raise TargetFailure(
-            f"{argv[0]!r} exited {proc.returncode}: {proc.stderr.decode(errors='replace').strip()}"
-        )
-    return elapsed
-
-
-def _run_once(target: TargetSpec, args: dict[str, int], cfg: MeasureConfig, rep: int) -> float:
+def _runner(target: TargetSpec,
+            cfg: MeasureConfig) -> tuple[str, Callable[[dict[str, int], int], float]]:
+    """The name of the clock that times ``target`` and a function that
+    makes one run at the given arguments and repetition index and returns
+    its time (a synthetic target's value stands in for it)."""
     if target.kind is TargetKind.BUILTIN:
-        return _run_builtin_once(target, args, cfg, rep)
+        builtin = target.builtin
+        assert builtin is not None
+
+        def run_builtin(args: dict[str, int], rep: int) -> float:
+            rng = np.random.default_rng(_seed_material(cfg, args, rep))
+            payload = builtin.setup(args, rng)
+            try:
+                start = _cpu_clock()
+                builtin.run(payload)
+                return _cpu_clock() - start
+            except Exception as exc:
+                raise TargetFailure(f"builtin {target.name} raised: {exc}") from exc
+
+        return "process-cpu", run_builtin
+
     if target.kind is TargetKind.EXTERNAL:
-        return _run_external_once(target, args)
+        assert target.command is not None
+        try:
+            import resource
+
+            def child_cpu() -> float:
+                ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+                return ru.ru_utime + ru.ru_stime
+
+            clock = "process-cpu"
+        except ImportError:  # pragma: no cover - non-Unix fallback
+            child_cpu, clock = time.perf_counter, "wall"
+
+        def run_external(args: dict[str, int], rep: int) -> float:
+            argv = list(target.command)
+            for name in target.variable_names:
+                argv += ["--var", f"{name}={args[name]}"]
+            before = child_cpu()
+            try:
+                proc = subprocess.run(argv, capture_output=True)
+            except OSError as exc:
+                raise TargetFailure(f"cannot run {argv[0]!r}: {exc}") from exc
+            elapsed = child_cpu() - before
+            if proc.returncode != 0:
+                raise TargetFailure(f"{argv[0]!r} exited {proc.returncode}: "
+                                    f"{proc.stderr.decode(errors='replace').strip()}")
+            return elapsed
+
+        return clock, run_external
+
     assert target.evaluator is not None
-    try:
-        value = float(target.evaluator(**{n: args[n] for n in target.variable_names}))
-    except Exception as exc:
-        raise TargetFailure(f"synthetic {target.name} raised: {exc}") from exc
-    if not math.isfinite(value):
-        raise TargetFailure(f"synthetic {target.name} returned {value} at {args}")
-    return value
+
+    def run_synthetic(args: dict[str, int], rep: int) -> float:
+        try:
+            value = float(target.evaluator(**{n: args[n] for n in target.variable_names}))
+        except Exception as exc:
+            raise TargetFailure(f"synthetic {target.name} raised: {exc}") from exc
+        if not math.isfinite(value):
+            raise TargetFailure(f"synthetic {target.name} returned {value} at {args}")
+        return value
+
+    return "synthetic", run_synthetic
 
 
 def _measure_points(target: TargetSpec, arg_sets: Sequence[dict[str, int]],
@@ -348,16 +314,11 @@ def _measure_points(target: TargetSpec, arg_sets: Sequence[dict[str, int]],
     missing = [n for n in target.variable_names if any(n not in args for args in arg_sets)]
     if missing:
         raise ValueError(f"missing argument values for {missing}")
-    if target.kind is TargetKind.SYNTHETIC:
-        clock = "synthetic"
-    elif target.kind is TargetKind.BUILTIN:
-        clock = "process-cpu"
-    else:
-        clock = _external_child_clock()[1]
+    clock, run = _runner(target, cfg)
     times: list[list[float]] = [[] for _ in arg_sets]
     for rep in range(cfg.warmup_runs + cfg.repetitions):
         for i, args in enumerate(arg_sets):
-            elapsed = _run_once(target, args, cfg, rep)
+            elapsed = run(args, rep)
             if rep >= cfg.warmup_runs:
                 times[i].append(elapsed)
     samples = []

@@ -251,14 +251,21 @@ def _model_to_json(pw: PiecewisePoly) -> dict:
 
 
 def _finite(value) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"non-finite number {value!r}")
-    return number
+    """A finite JSON number as a float; a string, a boolean or any other
+    JSON value raises ValueError."""
+    if type(value) not in (int, float) or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"{value!r} is not a finite JSON number")
+    return float(value)
+
+
+def _array(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} is a JSON {type(value).__name__}, not an array")
+    return value
 
 
 def _segment_from_json(s: dict, mode: BlendMode) -> QuadraticSegment:
-    node_xs = tuple(_finite(v) for v in s["node_xs"])
+    node_xs = tuple(_finite(v) for v in _array(s["node_xs"], "node_xs"))
     if len(node_xs) != 3:
         raise ValueError(f"node_xs holds {len(node_xs)} values, not 3")
     return QuadraticSegment(
@@ -270,7 +277,7 @@ def _segment_from_json(s: dict, mode: BlendMode) -> QuadraticSegment:
 def model_from_json(obj: dict) -> PiecewisePoly:
     try:
         mode = BlendMode(obj["mode"])
-        segments = tuple(_segment_from_json(s, mode) for s in obj["segments"])
+        segments = tuple(_segment_from_json(s, mode) for s in _array(obj["segments"], "segments"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model: {exc}") from exc
     return PiecewisePoly(segments, mode)
@@ -423,17 +430,28 @@ def models_from_document(doc: dict) -> dict[str, PiecewisePoly]:
 
 def series_from_sweep_json(sweep: dict) -> SampleSeries:
     variable = sweep["variable"]
-    xs = [s["args"][variable] for s in sweep["samples"]]
-    ys = [s["cpu_seconds"] for s in sweep["samples"]]
+    samples = _array(sweep["samples"], "samples")
+    xs = [_finite(s["args"][variable]) for s in samples]
+    ys = [_finite(s["cpu_seconds"]) for s in samples]
     return SampleSeries.from_arrays(xs, ys, label=f"sweep:{variable}")
+
+
+def _numbers(obj, name: str) -> dict:
+    """A JSON object of finite numbers, as it is."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} is a JSON {type(obj).__name__}, not an object")
+    for value in obj.values():
+        _finite(value)
+    return dict(obj)
 
 
 def _sweep_from_json(sweep: dict) -> SweepResult:
     samples = tuple(
-        TimingSample(dict(s["args"]), float(s["cpu_seconds"]), float(s["dispersion"]), s["clock"])
-        for s in sweep["samples"]
+        TimingSample(_numbers(s["args"], "args"), _finite(s["cpu_seconds"]),
+                     _finite(s["dispersion"]), s["clock"])
+        for s in _array(sweep["samples"], "samples")
     )
-    return SweepResult(sweep["variable"], dict(sweep["fixed_values"]), samples,
+    return SweepResult(sweep["variable"], _numbers(sweep["fixed_values"], "fixed_values"), samples,
                        series_from_sweep_json(sweep))
 
 
@@ -449,24 +467,25 @@ def profile_from_document(doc: dict) -> RuntimeProfile:
         raise ParseError("profile document contains no sweeps")
     try:
         target = doc["target"]
+        command = target["command"]
         spec = TargetSpec(
             TargetKind(target["kind"]), target["name"],
-            tuple(ArgSpec(name) for name in target["variables"]),
-            command=tuple(target["command"]) if target["command"] else None,
+            tuple(ArgSpec(name) for name in _array(target["variables"], "target.variables")),
+            command=None if command is None else tuple(_array(command, "target.command")),
         )
         models = models_from_document(doc)
         profiles = tuple(
             VariableProfile(sweep["variable"], _sweep_from_json(sweep), models[sweep["variable"]])
-            for sweep in doc["sweeps"]
+            for sweep in _array(doc["sweeps"], "sweeps")
         )
         swept = [vp.variable for vp in profiles]
         if len(set(swept)) < len(swept) or not set(swept) <= set(spec.variable_names):
             raise ValueError(f"sweeps of {swept} repeat a variable or name one "
                              f"not in the target's {list(spec.variable_names)}")
         interactions = tuple(
-            InteractionLabel(tuple(item["pair"]), item["label"],
-                             float(item["evidence"]), float(item["threshold"]))
-            for item in doc.get("interactions") or []
+            InteractionLabel(tuple(_array(item["pair"], "pair")), item["label"],
+                             _finite(item["evidence"]), _finite(item["threshold"]))
+            for item in _array(doc.get("interactions") or [], "interactions")
         )
         for label in interactions:
             pair = label.pair

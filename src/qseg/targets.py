@@ -8,17 +8,19 @@ variables.
 
 The batch constants below were sized for coarse clocks (1-10ms steps).
 ``setup`` multiplies them by :func:`batch_scale`, a power of two derived
-from the measured clock step: 1 on coarse clocks, down to 1/8 on clocks
-that step in microseconds.  The scale is the same for every target and
-every run in a process, so the grids, the run counts and the seeds of a
-profile do not depend on it; only the work inside one run does.
+from the clock step that :func:`effective_clock_tick` measures here: 1 on
+coarse clocks, down to 1/8 on clocks that step in microseconds.  The scale
+is the same for every target and every run in a process, so the grids,
+the run counts and the seeds of a profile do not depend on it; only the
+work inside one run does.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -93,6 +95,32 @@ FULL_BATCH_TICK = 16e-6
 MIN_BATCH_SCALE = 1 / 8
 
 
+_effective_tick: Optional[float] = None
+
+
+def effective_clock_tick() -> float:
+    """Measured granularity of the process-CPU clock.
+
+    Kernels that account CPU in jiffies advance the clock in ~1-10ms steps
+    regardless of the advertised nanosecond resolution; :func:`batch_scale`
+    and the profiler's noise floors must use the real step.  Measured in
+    this module, once per process, from the steps of ``time.process_time``.
+    """
+    global _effective_tick
+    if _effective_tick is None:
+        steps = []
+        last = time.process_time()
+        deadline = time.perf_counter() + 0.5
+        while len(steps) < 3 and time.perf_counter() < deadline:
+            cur = time.process_time()
+            if cur > last:
+                steps.append(cur - last)
+                last = cur
+        _effective_tick = max(min(steps) if steps else 0.0,
+                              time.get_clock_info("process_time").resolution)
+    return _effective_tick
+
+
 def batch_scale() -> float:
     """Power of two that sizes every builtin target's batches.
 
@@ -100,8 +128,6 @@ def batch_scale() -> float:
     measured step of the process-CPU clock.  The step is measured once per
     process, so the scale is too.
     """
-    from .profiler import effective_clock_tick  # profiler imports this module
-
     exponent = math.ceil(math.log2(effective_clock_tick() / FULL_BATCH_TICK))
     return min(1.0, max(MIN_BATCH_SCALE, 2.0 ** exponent))
 

@@ -124,8 +124,8 @@ class TestMeasureBuiltin:
         assert target.builtin.setup({"x": 64}, rng3) != p1
 
     def test_timer_resolution_warning(self, monkeypatch):
-        # pin the tick so its probe does not use up the fake clock
-        monkeypatch.setattr(profiler, "_effective_tick", 1e-6)
+        # pin the tick: the fake clock reads every run as 0s
+        monkeypatch.setattr(targets, "_effective_tick", 1e-6)
         ticks = iter([0.0, 0.0] * 100)
         monkeypatch.setattr(profiler, "_cpu_clock", lambda: next(ticks))
         target = TargetSpec.for_builtin("binary-search")
@@ -136,7 +136,7 @@ class TestMeasureBuiltin:
     def test_resolution_warning_uses_measured_tick(self, monkeypatch, run_seconds, warns):
         # with a 1ms step the threshold is 0.1s, far above the 1ns the
         # clock advertises
-        monkeypatch.setattr(profiler, "_effective_tick", 1e-3)
+        monkeypatch.setattr(targets, "_effective_tick", 1e-3)
         ticks = itertools.count(0.0, run_seconds)
         monkeypatch.setattr(profiler, "_cpu_clock", lambda: next(ticks))
         target = TargetSpec.for_builtin("merge-sort")
@@ -145,6 +145,18 @@ class TestMeasureBuiltin:
             sample = measure(target, {"x": 4}, CFG)
         assert sample.cpu_seconds == pytest.approx(run_seconds)
         assert any(issubclass(w.category, TimerResolutionWarning) for w in caught) == warns
+
+
+    def test_run_failure_is_target_failure(self):
+        def run(payload):
+            raise RuntimeError("boom")
+
+        builtin = targets.BUILTIN_TARGETS["merge-sort"]
+        target = TargetSpec(profiler.TargetKind.BUILTIN, "broken", builtin.args,
+                            builtin=targets.BuiltinTarget("broken", builtin.args,
+                                                          builtin.setup, run))
+        with pytest.raises(TargetFailure, match="builtin broken raised: boom"):
+            measure(target, {"x": 4}, CFG)
 
 
 class TestMeasureExternal:
@@ -205,8 +217,8 @@ class TestSweepSingle:
         calls = []
         target = TargetSpec.for_builtin("binary-search")
         monkeypatch.setattr(
-            profiler, "_run_once",
-            lambda t, args, cfg, rep: calls.append((rep, args["x"])) or 0.01,
+            profiler, "_runner",
+            lambda t, cfg: ("process-cpu", lambda args, rep: calls.append((rep, args["x"])) or 0.01),
         )
         cfg = MeasureConfig(repetitions=3, seed=0)
         sweep_single(target, "x", [1, 2, 3], {}, cfg)
@@ -218,6 +230,16 @@ class TestSweepSingle:
         calls.clear()
         measure(target, {"x": 5}, cfg)
         assert calls == [(rep, 5) for rep in range(cfg.warmup_runs + cfg.repetitions)]
+
+    def test_one_runner_per_measurement(self, monkeypatch):
+        chosen = []
+        runner = profiler._runner
+        monkeypatch.setattr(profiler, "_runner",
+                            lambda t, cfg: chosen.append(t.name) or runner(t, cfg))
+        target = synthetic("f", lambda x: float(x), ["x"])
+        sweep_single(target, "x", [1, 2, 3], {}, CFG)
+        measure(target, {"x": 5}, CFG)
+        assert chosen == ["f", "f"]
 
     def test_synthetic_sweep_runs_every_repetition(self):
         # synthetic targets go through the same loop as timed ones
@@ -385,12 +407,17 @@ class TestBatchScale:
         (1.6e-6, 0.125), (0.9e-6, 0.125), (0.1e-6, 0.125),  # floored at 1/8
     ])
     def test_power_of_two_from_tick(self, monkeypatch, tick, scale):
-        monkeypatch.setattr(profiler, "_effective_tick", tick)
+        monkeypatch.setattr(targets, "_effective_tick", tick)
         assert targets.batch_scale() == scale
+
+    def test_profiler_reads_the_same_step(self, monkeypatch):
+        assert profiler.effective_clock_tick is targets.effective_clock_tick
+        monkeypatch.setattr(targets, "_effective_tick", 2e-3)
+        assert profiler.effective_clock_tick() == 2e-3
 
     @pytest.mark.parametrize("tick, keys, sorts", [(1.6e-6, 12500, 2), (1e-3, 100000, 16)])
     def test_payloads_follow_scale(self, monkeypatch, tick, keys, sorts):
-        monkeypatch.setattr(profiler, "_effective_tick", tick)
+        monkeypatch.setattr(targets, "_effective_tick", tick)
         rng = np.random.default_rng(0)
         _, search_keys = targets.BUILTIN_TARGETS["binary-search"].setup({"x": 64}, rng)
         _, sort_batch = targets.BUILTIN_TARGETS["merge-sort"].setup({"x": 64}, rng)
@@ -399,7 +426,7 @@ class TestBatchScale:
 
     def test_one_batch_per_profile(self, monkeypatch):
         # measure the tick afresh; every run of the profile sees one scale
-        monkeypatch.setattr(profiler, "_effective_tick", None)
+        monkeypatch.setattr(targets, "_effective_tick", None)
         builtin = targets.BUILTIN_TARGETS["binary-search"]
         batches = []
 

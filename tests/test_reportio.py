@@ -373,6 +373,9 @@ class TestDocuments:
         {"a": math.nan}, {"b": math.inf}, {"c": -math.inf}, {"hi": math.nan},
         {"a": "nan"}, {"node_xs": [0.0, math.inf, 2.0]},
         {"node_xs": [0.0, 2.0]}, {"node_xs": [0.0, 0.5, 1.0, 2.0]},
+        # numbers and arrays written as other JSON values
+        {"a": "0.5"}, {"lo": "0"}, {"b": True}, {"c": 10 ** 400},
+        {"node_xs": "012"}, {"node_xs": {"0": 0, "1": 1, "2": 2}},
     ])
     def test_model_from_json_rejects_non_finite_and_bad_nodes(self, fields):
         obj = {"mode": "endpoint-secant", "segments": [self.segment_json(0.0, 2.0, fields)]}
@@ -437,6 +440,30 @@ class TestDocuments:
         pytest.param(lambda d: d["sweeps"].append(d["sweeps"][0]), id="sweep-repeated"),
         pytest.param(lambda d: d["target"].update(variables=["x", "c"]), id="sweep-undeclared"),
         pytest.param(lambda d: d.update(models=[1]), id="models-list"),
+        pytest.param(lambda d: d["target"].update(variables="xb"), id="variables-string"),
+        pytest.param(lambda d: d["target"].update(variables={"x": 0, "b": 1}),
+                     id="variables-object"),
+        pytest.param(lambda d: d["target"].update(command="ab"), id="command-string"),
+        pytest.param(lambda d: d["target"].update(command={"a": 1}), id="command-object"),
+        pytest.param(lambda d: d["interactions"][0].update(pair="xb"), id="pair-string"),
+        pytest.param(lambda d: d["interactions"][0].update(evidence="0.5"),
+                     id="evidence-string"),
+        pytest.param(lambda d: d["interactions"][0].update(threshold=True),
+                     id="threshold-boolean"),
+        pytest.param(lambda d: d["sweeps"][0]["samples"][0].update(cpu_seconds="0.5"),
+                     id="cpu-seconds-string"),
+        pytest.param(lambda d: d["sweeps"][0]["samples"][0].update(dispersion=False),
+                     id="dispersion-boolean"),
+        pytest.param(lambda d: d["sweeps"][0]["samples"][0]["args"].update(x="8"),
+                     id="args-string"),
+        pytest.param(lambda d: d["sweeps"][0]["fixed_values"].update(b="1"),
+                     id="fixed-value-string"),
+        pytest.param(lambda d: d["sweeps"][0].update(fixed_values=[["b", 1]]),
+                     id="fixed-values-list"),
+        pytest.param(lambda d: d["models"]["x"]["segments"][0].update(a="0.5"),
+                     id="model-number-string"),
+        pytest.param(lambda d: d["models"]["x"]["segments"][0].update(node_xs="012"),
+                     id="node-xs-string"),
     ])
     def test_profile_from_document_rejects_malformed(self, doc):
         if callable(doc):
