@@ -81,6 +81,8 @@ def _parse_candidates(text: Optional[str], parser: argparse.ArgumentParser):
         )
     if len(names) < 2:
         parser.error("--candidates needs at least two class names")
+    if len(set(names)) < len(names):
+        parser.error(f"--candidates repeats a class name: {names}")
     return tuple(CANDIDATES_BY_NAME[n] for n in names)
 
 
@@ -126,7 +128,7 @@ def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
             )
         bounds = _segment_bounds(args.from_, args.to, args.segments, args.spacing, parser)
         try:
-            series = sample_function(ref.fn, nodes_from_bounds(bounds), label=args.fn)
+            series = sample_function(ref.fn, nodes_from_bounds(bounds))
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             print(f"error: cannot sample {args.fn} on [{args.from_}, {args.to}]: {exc}",
                   file=sys.stderr)
@@ -181,7 +183,10 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
                 parser.error(f"--vars has an empty variable name: {args.vars!r}")
         if not variables:
             parser.error("--exec needs --vars or at least one --grid")
-        target = TargetSpec.for_command(command, variables)
+        try:
+            target = TargetSpec.for_command(command, variables)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     missing = [n for n in target.variable_names if n not in grids]
     if missing:
@@ -225,7 +230,7 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
     for vp in profile.profiles:
         lo, hi = vp.model.domain
         print(f"{vp.variable}: {len(vp.model.segments)} segments on "
-              f"[{lo:g}, {hi:g}], fixed {vp.fixed_values}, "
+              f"[{lo:g}, {hi:g}], fixed {vp.sweep.fixed_values}, "
               f"validation {validation[vp.variable]:.4f}")
     for label in profile.interactions:
         print(f"{label.pair[0]}~{label.pair[1]}: {label.label} "

@@ -81,7 +81,6 @@ class SampleSeries:
     """
 
     points: tuple[SamplePoint, ...]
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -93,10 +92,10 @@ class SampleSeries:
                 )
 
     @classmethod
-    def from_arrays(cls, xs: Sequence[float], ys: Sequence[float], label: str = "") -> "SampleSeries":
+    def from_arrays(cls, xs: Sequence[float], ys: Sequence[float]) -> "SampleSeries":
         if len(xs) != len(ys):
             raise ValueError("x and y lengths differ")
-        return cls(tuple(SamplePoint(float(x), float(y)) for x, y in zip(xs, ys)), label)
+        return cls(tuple(SamplePoint(float(x), float(y)) for x, y in zip(xs, ys)))
 
     @property
     def xs(self) -> np.ndarray:
@@ -414,6 +413,6 @@ def nodes_from_bounds(bounds: Sequence[float]) -> list[float]:
     return xs
 
 
-def sample_function(fn, xs: Sequence[float], label: str = "") -> SampleSeries:
+def sample_function(fn, xs: Sequence[float]) -> SampleSeries:
     """Evaluate ``fn`` at the given x positions and wrap as a series."""
-    return SampleSeries.from_arrays(list(xs), [float(fn(float(x))) for x in xs], label)
+    return SampleSeries.from_arrays(list(xs), [float(fn(float(x))) for x in xs])

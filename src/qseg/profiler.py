@@ -60,7 +60,8 @@ class TargetSpec:
     """What to measure: a named builtin workload, an external command
     invoked as ``cmd --var NAME=VALUE ...``, or a synthetic evaluator whose
     return value stands in for seconds (used to validate detection logic
-    without timing noise)."""
+    without timing noise).  Variable names must be distinct: a repeated one
+    raises ValueError."""
 
     kind: TargetKind
     name: str
@@ -68,6 +69,11 @@ class TargetSpec:
     command: Optional[tuple[str, ...]] = None
     evaluator: Optional[Callable[..., float]] = None
     builtin: Optional[BuiltinTarget] = None
+
+    def __post_init__(self):
+        if len(set(self.variable_names)) < self.arity:
+            raise ValueError(f"target {self.name!r} repeats a variable name: "
+                             f"{list(self.variable_names)}")
 
     @classmethod
     def for_builtin(cls, name: str) -> "TargetSpec":
@@ -80,10 +86,8 @@ class TargetSpec:
         return cls(TargetKind.BUILTIN, name, builtin.args, builtin=builtin)
 
     @classmethod
-    def for_command(cls, command: Sequence[str], variables: Sequence[str],
-                    min_values: Optional[dict[str, int]] = None) -> "TargetSpec":
-        floors = min_values or {}
-        specs = tuple(ArgSpec(v, min_value=floors.get(v, 0)) for v in variables)
+    def for_command(cls, command: Sequence[str], variables: Sequence[str]) -> "TargetSpec":
+        specs = tuple(ArgSpec(v) for v in variables)
         return cls(TargetKind.EXTERNAL, command[0], specs, command=tuple(command))
 
     @classmethod
@@ -173,13 +177,12 @@ class SweepResult:
 class VariableProfile:
     """A sweep plus the piecewise model built over it."""
 
-    variable: str
     sweep: SweepResult
     model: PiecewisePoly
 
     @property
-    def fixed_values(self) -> dict[str, int]:
-        return self.sweep.fixed_values
+    def variable(self) -> str:
+        return self.sweep.swept_variable
 
 
 @dataclass(frozen=True)
@@ -352,16 +355,13 @@ def sweep_single(target: TargetSpec, variable: str, grid: Sequence[int],
     pinned = {n: int(fixed[n]) for n in target.variable_names if n != variable and n in fixed}
     log.debug("sweep %s over %s fixed=%s", variable, grid, fixed)
     samples = _measure_points(target, [{**pinned, variable: g} for g in grid], cfg)
-    series = SampleSeries.from_arrays(
-        grid, [s.cpu_seconds for s in samples],
-        label=f"{target.name}:{variable}",
-    )
+    series = SampleSeries.from_arrays(grid, [s.cpu_seconds for s in samples])
     return SweepResult(variable, pinned, samples, series)
 
 
 def profile_variable(sweep: SweepResult, mode: BlendMode) -> VariableProfile:
     """Wrap a sweep's series as a piecewise model with its metadata."""
-    return VariableProfile(sweep.swept_variable, sweep, build_piecewise(sweep.series, mode))
+    return VariableProfile(sweep, build_piecewise(sweep.series, mode))
 
 
 def _pooled_dispersion(sweeps: Sequence[SweepResult]) -> float:

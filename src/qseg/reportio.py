@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -24,7 +23,7 @@ import numpy as np
 from . import _plotrows
 from .accuracy import AccuracyReport, ReferenceFn
 from .classify import ProfileClassification
-from .errors import NonMonotonicX, ParseError, WriteError
+from .errors import ParseError, WriteError
 from .interp import (
     BlendMode,
     PiecewisePoly,
@@ -65,37 +64,34 @@ def write_series(series: SampleSeries, path: PathLike) -> None:
             writer.writerow([repr(point.x), repr(point.y)])
 
 
-def read_series(path: PathLike, label: str = "") -> SampleSeries:
+def read_series(path: PathLike) -> SampleSeries:
     """Parse a two-column CSV with an ``x,y`` header.
 
     Length and parity are not checked here; an even-length series fails
-    later, when a model is built from it.
+    later, when a model is built from it.  x values that do not strictly
+    increase raise NonMonotonicX, from :class:`SampleSeries`.
     """
-    points = []
     try:
-        handle = open(path, newline="")
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["x", "y"]:
-                continue
-            if len(row) < 2:
-                raise ParseError(f"{path}:{lineno}: expected two columns, got {row!r}")
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: not numeric: {row!r}") from None
-            points.append(SamplePoint(x, y))
-    previous = -math.inf
-    for point in points:
-        if point.x <= previous:
-            raise NonMonotonicX(f"{path}: x values must strictly increase (x={point.x})")
-        previous = point.x
-    return SampleSeries(tuple(points), label or str(path))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a readable CSV: {exc}") from exc
+    points = []
+    for lineno, row in enumerate(rows, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["x", "y"]:
+            continue
+        if len(row) < 2:
+            raise ParseError(f"{path}:{lineno}: expected two columns, got {row!r}")
+        try:
+            x, y = float(row[0]), float(row[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: not numeric: {row!r}") from None
+        points.append(SamplePoint(x, y))
+    return SampleSeries(tuple(points))
 
 
 # --- plot data ------------------------------------------------------------
@@ -265,13 +261,17 @@ def _array(value, name: str) -> list:
 
 
 def _segment_from_json(s: dict, mode: BlendMode) -> QuadraticSegment:
+    """A segment whose ``node_xs`` are ``lo``, a point strictly inside the
+    bounds, and ``hi``, as :func:`build_segment` writes them."""
     node_xs = tuple(_finite(v) for v in _array(s["node_xs"], "node_xs"))
     if len(node_xs) != 3:
         raise ValueError(f"node_xs holds {len(node_xs)} values, not 3")
-    return QuadraticSegment(
-        _finite(s["a"]), _finite(s["b"]), _finite(s["c"]),
-        _finite(s["lo"]), _finite(s["hi"]), node_xs, mode,
-    )
+    lo, hi = _finite(s["lo"]), _finite(s["hi"])
+    # bounds that do not increase are left to PiecewisePoly, which raises
+    # NonMonotonicX for them
+    if lo < hi and not node_xs[0] == lo < node_xs[1] < hi == node_xs[2]:
+        raise ValueError(f"node_xs {list(node_xs)} are not lo, a point inside, hi of [{lo}, {hi}]")
+    return QuadraticSegment(_finite(s["a"]), _finite(s["b"]), _finite(s["c"]), lo, hi, node_xs, mode)
 
 
 def model_from_json(obj: dict) -> PiecewisePoly:
@@ -405,7 +405,7 @@ def load_document(path: PathLike) -> dict:
             doc = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ParseError(f"{path}: missing format_version")
@@ -428,14 +428,6 @@ def models_from_document(doc: dict) -> dict[str, PiecewisePoly]:
     return {name: model_from_json(obj) for name, obj in models.items()}
 
 
-def series_from_sweep_json(sweep: dict) -> SampleSeries:
-    variable = sweep["variable"]
-    samples = _array(sweep["samples"], "samples")
-    xs = [_finite(s["args"][variable]) for s in samples]
-    ys = [_finite(s["cpu_seconds"]) for s in samples]
-    return SampleSeries.from_arrays(xs, ys, label=f"sweep:{variable}")
-
-
 def _numbers(obj, name: str) -> dict:
     """A JSON object of finite numbers, as it is."""
     if not isinstance(obj, dict):
@@ -446,13 +438,16 @@ def _numbers(obj, name: str) -> dict:
 
 
 def _sweep_from_json(sweep: dict) -> SweepResult:
+    variable = sweep["variable"]
     samples = tuple(
         TimingSample(_numbers(s["args"], "args"), _finite(s["cpu_seconds"]),
                      _finite(s["dispersion"]), s["clock"])
         for s in _array(sweep["samples"], "samples")
     )
-    return SweepResult(sweep["variable"], _numbers(sweep["fixed_values"], "fixed_values"), samples,
-                       series_from_sweep_json(sweep))
+    fixed_values = _numbers(sweep["fixed_values"], "fixed_values")
+    series = SampleSeries.from_arrays([s.args[variable] for s in samples],
+                                      [s.cpu_seconds for s in samples])
+    return SweepResult(variable, fixed_values, samples, series)
 
 
 def profile_from_document(doc: dict) -> RuntimeProfile:
@@ -475,7 +470,7 @@ def profile_from_document(doc: dict) -> RuntimeProfile:
         )
         models = models_from_document(doc)
         profiles = tuple(
-            VariableProfile(sweep["variable"], _sweep_from_json(sweep), models[sweep["variable"]])
+            VariableProfile(_sweep_from_json(sweep), models[sweep["variable"]])
             for sweep in _array(doc["sweeps"], "sweeps")
         )
         swept = [vp.variable for vp in profiles]

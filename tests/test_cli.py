@@ -202,6 +202,15 @@ class TestProfile:
         assert run(["profile", "--exec", "prog", "--grid", " =2:10:3"]) == 2
         assert "names no variable" in capsys.readouterr().err
 
+    def test_repeated_vars_name_exit_two(self, tmp_path, capsys, monkeypatch):
+        def measure(*args):
+            raise AssertionError("measured a target with a repeated variable")
+
+        monkeypatch.setattr(cli, "build_runtime_profile", measure)
+        assert run(["profile", "--exec", "prog", "--vars", "x,x", "--grid", "x=1:5:3",
+                    "--out", str(tmp_path / "p.json")]) == 2
+        assert "repeats a variable name" in capsys.readouterr().err
+
     @pytest.mark.parametrize("names", ["x,", "x, ,b", " ", ""])
     def test_empty_vars_name_exit_two(self, capsys, names):
         assert run(["profile", "--exec", "prog", "--vars", names,
@@ -252,6 +261,11 @@ class TestClassify:
 
     def test_single_candidate_exit_two(self, series_csv):
         assert run(["classify", "--input", str(series_csv), "--candidates", "log"]) == 2
+
+    def test_repeated_candidate_exit_two(self, series_csv, capsys):
+        assert run(["classify", "--input", str(series_csv),
+                    "--candidates", "log,linear,log"]) == 2
+        assert "repeats a class name" in capsys.readouterr().err
 
     def test_profile_updated_in_place(self, tmp_path, capsys):
         out = tmp_path / "prof.json"
@@ -352,6 +366,13 @@ class TestEval:
     def test_models_not_an_object_exit_one(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text(json.dumps({"format_version": "1.0", "models": [1]}))
+        assert run(["eval", "--model", str(path), "--at", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_deeply_nested_json_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"format_version": "1.0", "models": %s}' % ("[" * depth + "]" * depth))
         assert run(["eval", "--model", str(path), "--at", "10"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 

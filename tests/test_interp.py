@@ -39,7 +39,7 @@ P = SamplePoint
 
 
 def log2_series(xs=(8, 12, 16, 24, 32, 48, 64)):
-    return sample_function(math.log2, xs, "log2")
+    return sample_function(math.log2, xs)
 
 
 def random_smooth_functions(rng, count):

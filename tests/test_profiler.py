@@ -308,6 +308,14 @@ class TestDetectInteraction:
 
 
 class TestBuildRuntimeProfile:
+    @pytest.mark.parametrize("make", [
+        lambda: synthetic("dup", lambda x: 1.0, ["x", "x"]),
+        lambda: TargetSpec.for_command(["prog"], ["x", "b", "x"]),
+    ], ids=["callable", "command"])
+    def test_repeated_variable_name_rejected(self, make):
+        with pytest.raises(ValueError, match="repeats a variable name"):
+            make()
+
     def test_arity_one(self):
         target = synthetic("lg", lambda x: math.log2(x), ["x"], min_values={"x": 1})
         profile = build_runtime_profile(target, {"x": LOG_GRID}, CFG)
@@ -322,7 +330,7 @@ class TestBuildRuntimeProfile:
         assert len(profile.interactions) == 1
         assert profile.interactions[0].label == "additive"
         # second pass pins the partner at its representative input, not 0
-        assert profile.profiles[0].fixed_values["b"] > 0
+        assert profile.profiles[0].sweep.fixed_values["b"] > 0
 
     def test_arity_three_pair_count(self):
         target = synthetic(
@@ -373,7 +381,7 @@ class TestBuildRuntimeProfile:
         p1 = build_runtime_profile(target, {"x": LOG_GRID, "b": LIN_GRID}, CFG)
         p2 = build_runtime_profile(target, {"x": LOG_GRID, "b": LIN_GRID}, CFG)
         for vp1, vp2 in zip(p1.profiles, p2.profiles):
-            assert vp1.fixed_values == vp2.fixed_values
+            assert vp1.sweep.fixed_values == vp2.sweep.fixed_values
             np.testing.assert_array_equal(vp1.sweep.series.xs, vp2.sweep.series.xs)
 
 

@@ -35,7 +35,6 @@ from qseg.reportio import (
     profile_document,
     profile_from_document,
     read_series,
-    series_from_sweep_json,
     write_series,
 )
 
@@ -86,6 +85,16 @@ class TestSeriesCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             read_series(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("content", [
+        b"x,y\n1,1\n\xff\xfe,2\n",  # not UTF-8
+        b"x,y\n1," + b"9" * (128 * 1024 + 1) + b"\n",  # over csv's field limit
+    ], ids=["undecodable", "field-too-large"])
+    def test_unreadable_csv_is_parse_error(self, tmp_path, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="bad.csv"):
+            read_series(path)
 
     def test_even_file_reads_fails_at_build(self, tmp_path):
         path = tmp_path / "even.csv"
@@ -376,6 +385,10 @@ class TestDocuments:
         # numbers and arrays written as other JSON values
         {"a": "0.5"}, {"lo": "0"}, {"b": True}, {"c": 10 ** 400},
         {"node_xs": "012"}, {"node_xs": {"0": 0, "1": 1, "2": 2}},
+        # nodes that are not lo, a point strictly inside, hi
+        {"node_xs": [5.0, 6.0, 7.0]}, {"node_xs": [0.5, 1.0, 2.0]},
+        {"node_xs": [0.0, 1.0, 3.0]}, {"node_xs": [0.0, 0.0, 2.0]},
+        {"node_xs": [0.0, 2.0, 2.0]}, {"node_xs": [0.0, 3.0, 2.0]},
     ])
     def test_model_from_json_rejects_non_finite_and_bad_nodes(self, fields):
         obj = {"mode": "endpoint-secant", "segments": [self.segment_json(0.0, 2.0, fields)]}
@@ -401,7 +414,7 @@ class TestDocuments:
         loaded = load_document(path)
         assert loaded["kind"] == "profile"
         assert [s["variable"] for s in loaded["sweeps"]] == ["x", "b"]
-        series = series_from_sweep_json(loaded["sweeps"][0])
+        series = profile_from_document(loaded).profiles[0].sweep.series
         np.testing.assert_allclose(series.xs, grids["x"])
         assert set(models_from_document(loaded)) == {"x", "b"}
         assert loaded["interactions"][0]["label"] == "additive"
@@ -421,9 +434,7 @@ class TestDocuments:
         assert back.interactions == profile.interactions
         for vp_back, vp in zip(back.profiles, profile.profiles, strict=True):
             assert vp_back.variable == vp.variable
-            assert vp_back.sweep.fixed_values == vp.sweep.fixed_values
-            assert vp_back.sweep.samples == vp.sweep.samples
-            assert vp_back.sweep.series.points == vp.sweep.series.points
+            assert vp_back.sweep == vp.sweep
             assert vp_back.model.segments == vp.model.segments
 
     @pytest.mark.parametrize("doc", [
@@ -439,6 +450,8 @@ class TestDocuments:
         pytest.param(lambda d: d["interactions"][0].update(label="bogus"), id="label-unknown"),
         pytest.param(lambda d: d["sweeps"].append(d["sweeps"][0]), id="sweep-repeated"),
         pytest.param(lambda d: d["target"].update(variables=["x", "c"]), id="sweep-undeclared"),
+        pytest.param(lambda d: d["target"].update(variables=["x", "x", "b"]),
+                     id="variables-repeated"),
         pytest.param(lambda d: d.update(models=[1]), id="models-list"),
         pytest.param(lambda d: d["target"].update(variables="xb"), id="variables-string"),
         pytest.param(lambda d: d["target"].update(variables={"x": 0, "b": 1}),
