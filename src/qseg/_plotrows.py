@@ -1,52 +1,65 @@
-"""CSV text of plot rows, shared by ``reportio`` and its helper processes.
+"""The plot CSV format, shared by ``reportio`` and its helper processes.
 
-Run as a script, it formats the segments that ``reportio`` sends as doubles
-on standard input and writes their rows to standard output.  It imports
-only the standard library, so a helper interpreter starts in milliseconds.
+Segment ``(lo, hi, a, b, c)`` has ``PLOT_POINTS_PER_SEGMENT`` dense rows
+at x = lo + (hi - lo) * j / (PLOT_POINTS_PER_SEGMENT - 1), with F =
+(a*x + b)*x + c in ``QuadraticSegment.value``'s operation order.  All but
+the last segment end in a knot row at hi, and in a second, flagged as the
+next segment, where the next segment's F differs by more than
+``KNOT_MATCH_TOL`` (relative).  A reference adds G, which the caller
+computes at :func:`segment_xs`.
 
-The stream holds, per segment, four doubles -- the segment index, the
-number of knot rows that end it, the row count and the column count --
-then each column's values: x, F and, with a reference, G.
+Run as a script, it reads a marshalled list of :func:`segment_text`
+arguments on standard input and writes their rows to standard output.  It
+imports only the standard library, so a helper interpreter starts in
+milliseconds.
 """
 
+import marshal
 import sys
-from array import array
 
-#: Bytes of the four doubles that open each segment in the stream.
-HEADER_BYTES = 32
+#: Dense evaluation points per segment.
+PLOT_POINTS_PER_SEGMENT = 200
+
+#: Knot values closer than this (relative) collapse to a single row.
+KNOT_MATCH_TOL = 1e-9
+
+#: Each dense row's j as a float, which multiplies faster and rounds the same.
+_STEPS = [float(j) for j in range(PLOT_POINTS_PER_SEGMENT)]
 
 
-def segment_text(index: int, knots: int, columns: list) -> str:
-    """Rows of one segment: dense rows flagged as segment ``index``, then
-    ``knots`` knot rows, the second of which belongs to the next segment."""
-    dense = len(columns[0]) - knots
+def header(with_reference: bool) -> bytes:
+    return ("x,F," + ("G," if with_reference else "") + "segment_index,is_knot\r\n").encode()
+
+
+def segment_xs(lo: float, hi: float, knot: bool) -> list:
+    """The x of each dense row of a segment on [lo, hi], then, with a
+    ``knot``, hi."""
+    width, last = hi - lo, _STEPS[-1]
+    xs = [lo + width * j / last for j in _STEPS]
+    return xs + [hi] if knot else xs
+
+
+def segment_text(index: int, seg: tuple, after, gs) -> str:
+    """Rows of segment ``index``, ``seg`` being its (lo, hi, a, b, c) and
+    ``after`` the next segment's (a, b, c), or None for the last.  ``gs``
+    holds G at ``segment_xs``, or is None without a reference."""
+    lo, hi, a, b, c = seg
+    xs = segment_xs(lo, hi, knot=False)
     tail = f",{index},0\r\n"
-    knot_tails = [f",{index},1\r\n", f",{index + 1},1\r\n"]
-    if len(columns) == 3:
-        xs, values, gs = columns
-        lines = [f"{x!r},{v!r},{g!r}{tail}" for x, v, g in zip(xs[:dense], values[:dense], gs)]
-        lines += [f"{x!r},{v!r},{g!r}{t}"
-                  for x, v, g, t in zip(xs[dense:], values[dense:], gs[dense:], knot_tails)]
+    if gs is None:
+        lines = [f"{x!r},{(a * x + b) * x + c!r}{tail}" for x in xs]
     else:
-        xs, values = columns
-        lines = [f"{x!r},{v!r}{tail}" for x, v in zip(xs[:dense], values)]
-        lines += [f"{x!r},{v!r}{t}" for x, v, t in zip(xs[dense:], values[dense:], knot_tails)]
+        lines = [f"{x!r},{(a * x + b) * x + c!r},{g!r}{tail}" for x, g in zip(xs, gs)]
+    if after is not None:
+        g = "" if gs is None else f",{gs[-1]!r}"
+        left, right = [(p * hi + q) * hi + r for p, q, r in ((a, b, c), after)]
+        lines.append(f"{hi!r},{left!r}{g},{index},1\r\n")
+        if abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left)):
+            lines.append(f"{hi!r},{right!r}{g},{index + 1},1\r\n")
     return "".join(lines)
 
 
-def segment_record(index: int, knots: int, columns: list) -> bytes:
-    """One segment of the stream the script reads."""
-    rows = len(columns[0])
-    return array("d", [index, knots, rows, len(columns)] + [v for c in columns for v in c]).tobytes()
-
-
-def format_stream(source, sink) -> None:
-    while header := source.read(HEADER_BYTES):
-        index, knots, rows, width = (int(v) for v in array("d", header))
-        values = array("d", source.read(8 * rows * width)).tolist()
-        columns = [values[c * rows:(c + 1) * rows] for c in range(width)]
-        sink.write(segment_text(index, knots, columns).encode())
-
-
 if __name__ == "__main__":
-    format_stream(sys.stdin.buffer, sys.stdout.buffer)
+    # one read: marshal.load on a file reads it a few bytes per call
+    for args in marshal.loads(sys.stdin.buffer.read()):
+        sys.stdout.buffer.write(segment_text(*args).encode())

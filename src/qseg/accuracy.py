@@ -20,8 +20,10 @@ from .interp import PiecewisePoly, SampleSeries
 #: Aggregate integrals below this magnitude cannot form a meaningful ratio.
 ZERO_INTEGRAL_TOL = 1e-12
 
-#: Absolute tolerance for the reference-side quadrature.
+#: Absolute tolerance and most interval halvings of the reference-side
+#: quadrature.
 QUADRATURE_TOL = 1e-10
+QUADRATURE_MAX_DEPTH = 50
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,9 @@ class AccuracyReport:
     aggregate_a: float
 
 
-def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
-                     tol: float = QUADRATURE_TOL, max_depth: int = 50) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance ``tol``."""
+def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive Simpson quadrature with absolute tolerance
+    ``QUADRATURE_TOL``, halving at most ``QUADRATURE_MAX_DEPTH`` times."""
     if a == b:
         return 0.0
 
@@ -88,7 +90,8 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
 
     mid = 0.5 * (a + b)
     fa, fm, fb = fn(a), fn(mid), fn(b)
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, max_depth)
+    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), QUADRATURE_TOL,
+                   QUADRATURE_MAX_DEPTH)
 
 
 def _reciprocal_ratio(reference: float, model: float) -> Optional[float]:

@@ -304,7 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_approx = sub.add_parser("approx", help="model a series or a named function")
+    def add_command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        # a handler reports usage errors through its own subcommand's parser
+        command = sub.add_parser(name, help=help)
+        command.set_defaults(run=functools.partial(handler, parser=command))
+        return command
+
+    p_approx = add_command("approx", cmd_approx, "model a series or a named function")
     p_approx.add_argument("--input", help="CSV series with an x,y header")
     p_approx.add_argument("--fn", help="named reference function "
                           f"({', '.join(sorted(NAMED_REFERENCES))})")
@@ -318,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--out", default="report.json", help="report path")
     p_approx.add_argument("--plot", help="optional dense plot-data CSV path")
 
-    p_profile = sub.add_parser("profile", help="measure a target and build its profile")
+    p_profile = add_command("profile", cmd_profile, "measure a target and build its profile")
     group = p_profile.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", help="builtin target name")
     group.add_argument("--exec", dest="exec_cmd",
@@ -334,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
                            default=BlendMode.ENDPOINT_SECANT.value)
     p_profile.add_argument("--out", default="profile.json", help="profile document path")
 
-    p_classify = sub.add_parser("classify", help="rank candidate complexity classes")
+    p_classify = add_command("classify", cmd_classify, "rank candidate complexity classes")
     p_classify.add_argument("--profile", help="profile document to classify and update")
     p_classify.add_argument("--input", help="CSV series to classify")
     p_classify.add_argument("--candidates", help="comma-separated class names "
                             f"(default: {','.join(c.name for c in DEFAULT_CANDIDATES)})")
 
-    p_eval = sub.add_parser("eval", help="evaluate a persisted model")
+    p_eval = add_command("eval", cmd_eval, "evaluate a persisted model")
     p_eval.add_argument("--model", required=True, help="report/profile JSON path")
     p_eval.add_argument("--at", type=float, required=True, help="evaluation point")
     p_eval.add_argument("--var", help="variable name when several models exist")
@@ -357,16 +363,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "approx": cmd_approx,
-        "profile": cmd_profile,
-        "classify": cmd_classify,
-        "eval": cmd_eval,
-    }
+    args = _parser().parse_args(argv)
     try:
-        return handlers[args.command](args, parser)
+        return args.run(args)
     except QsegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

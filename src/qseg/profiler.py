@@ -39,6 +39,9 @@ RESOLUTION_MARGIN = 100
 ADDITIVE_RANGE_FRACTION = 0.05
 ADDITIVE_NOISE_FACTOR = 3.0
 
+#: Points in each variable's default grid.
+DEFAULT_GRID_POINTS = 7
+
 
 class TimerResolutionWarning(UserWarning):
     """Aggregated time is too close to the clock's resolution."""
@@ -112,14 +115,14 @@ class TargetSpec:
                 return spec
         raise KeyError(name)
 
-    def default_grids(self, points: int = 7) -> dict[str, list[int]]:
+    def default_grids(self) -> dict[str, list[int]]:
         out = {}
         for spec in self.variables:
             lo, hi = spec.default_grid
             if spec.grid_scale == "geometric":
-                out[spec.name] = geometric_grid(lo, hi, points)
+                out[spec.name] = geometric_grid(lo, hi, DEFAULT_GRID_POINTS)
             else:
-                out[spec.name] = integer_grid(lo, hi, points)
+                out[spec.name] = integer_grid(lo, hi, DEFAULT_GRID_POINTS)
         return out
 
 

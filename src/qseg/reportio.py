@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import marshal
 import os
 import shutil
 import subprocess
@@ -17,8 +18,6 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Optional, Union
-
-import numpy as np
 
 from . import _plotrows
 from .accuracy import AccuracyReport, ReferenceFn
@@ -44,12 +43,6 @@ from .targets import ArgSpec
 
 FORMAT_VERSION = "1.0"
 FORMAT_MAJOR = 1
-
-#: Knot values closer than this (relative) collapse to a single plot row.
-KNOT_MATCH_TOL = 1e-9
-
-#: Dense evaluation points per segment in plot data.
-PLOT_POINTS_PER_SEGMENT = 200
 
 PathLike = Union[str, Path]
 
@@ -120,57 +113,46 @@ def _plot_runs(segment_count: int) -> list[tuple[int, int]]:
     or for a small file."""
     runs = 1
     if sys.executable:
-        dense_rows = segment_count * PLOT_POINTS_PER_SEGMENT
+        dense_rows = segment_count * _plotrows.PLOT_POINTS_PER_SEGMENT
         runs = max(1, min(_usable_cpus(), dense_rows // PLOT_ROWS_PER_RUN))
     bounds = [segment_count * k // runs for k in range(runs + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
-def _segment_rows(pw: PiecewisePoly, fn, i: int) -> tuple[int, int, list]:
-    """Segment ``i``'s plot rows as columns x, F and, with a reference, G,
-    plus how many knot rows end them.  The dense x and F values come from
-    one numpy pass in the scalar operation order, so they are bit-identical
-    to ``seg.value(x)``."""
+def _segment_args(pw: PiecewisePoly, fn, i: int) -> tuple:
+    """Segment ``i`` as ``_plotrows.segment_text`` takes it: its index, its
+    bounds and coefficients, the next segment's coefficients and, with a
+    reference, G at each row's x."""
     seg = pw.segments[i]
-    steps = np.arange(PLOT_POINTS_PER_SEGMENT, dtype=float)
-    xs = seg.lo + (seg.hi - seg.lo) * steps / (PLOT_POINTS_PER_SEGMENT - 1)
-    columns = [xs.tolist(), ((seg.a * xs + seg.b) * xs + seg.c).tolist()]
-    knots = 0
-    if i + 1 < len(pw.segments):
-        knot = seg.hi
-        left = seg.value(knot)
-        right = pw.segments[i + 1].value(knot)
-        knots = 2 if abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left)) else 1
-        columns[0] += [knot] * knots
-        columns[1] += [left, right][:knots]
-    if fn:
-        columns.append([float(fn(x)) for x in columns[0]])
-    return i, knots, columns
+    last = i + 1 == len(pw.segments)
+    after = None if last else (pw.segments[i + 1].a, pw.segments[i + 1].b, pw.segments[i + 1].c)
+    gs = None
+    if fn is not None:
+        gs = [float(fn(x)) for x in _plotrows.segment_xs(seg.lo, seg.hi, not last)]
+    return i, (seg.lo, seg.hi, seg.a, seg.b, seg.c), after, gs
 
 
 def _plot_chunks(pw: PiecewisePoly, fn, run: tuple[int, int]):
     """The CSV bytes of a run, one chunk per segment."""
     for i in range(*run):
-        yield _plotrows.segment_text(*_segment_rows(pw, fn, i)).encode()
+        yield _plotrows.segment_text(*_segment_args(pw, fn, i)).encode()
 
 
 def _start_helper(pw: PiecewisePoly, fn, run: tuple[int, int], part):
     """Start an interpreter that formats ``run`` into ``part``; None when
-    it cannot be started.  Every value of the run, the reference's too, is
-    computed here first, so an error in them is raised before any helper
-    starts."""
-    with tempfile.TemporaryFile() as numbers:
-        for i in range(*run):
-            numbers.write(_plotrows.segment_record(*_segment_rows(pw, fn, i)))
-        numbers.seek(0)
+    it cannot be started.  The run's reference values are computed here
+    first, so an error in them is raised before the helper starts."""
+    with tempfile.TemporaryFile() as segments:
+        marshal.dump([_segment_args(pw, fn, i) for i in range(*run)], segments)
+        segments.seek(0)
         try:
             return subprocess.Popen([sys.executable, "-I", "-S", str(_HELPER)],
-                                    stdin=numbers, stdout=part, stderr=subprocess.DEVNULL)
+                                    stdin=segments, stdout=part, stderr=subprocess.DEVNULL)
         except OSError:
             return None
 
 
-def _write_runs_split(out, pw: PiecewisePoly, fn, runs: list[tuple[int, int]]) -> None:
+def _write_runs(out, pw: PiecewisePoly, fn, runs: list[tuple[int, int]]) -> None:
     """Write the first run here while helper processes format the others
     into anonymous temporary files, then append those in order.  A run
     whose helper failed is written here."""
@@ -205,11 +187,13 @@ def emit_plot_data(pw: PiecewisePoly, path: PathLike,
     The file is the CSV ``csv.writer`` would write (CRLF line ends; ``repr``
     floats never need quoting).
 
-    A large file is split into contiguous runs of segments, one per usable
-    CPU, each of at least ``PLOT_ROWS_PER_RUN`` dense rows.  This process
-    computes every value and writes the first run into ``path``; helper
-    interpreters format the other runs into anonymous temporary files,
-    which are appended in order.  The bytes are those of a single writer,
+    The rows are built by ``_plotrows`` from each segment's bounds and
+    coefficients.  A large file is split into contiguous runs of segments,
+    one per usable CPU, each of at least ``PLOT_ROWS_PER_RUN`` dense rows.
+    This process computes the reference column of every run and writes
+    the first run into ``path``; helper interpreters compute x and F of
+    the other runs and format them into anonymous temporary files, which
+    are appended in order.  The bytes are those of a single writer,
     nothing but ``path`` appears in its directory, and an error from
     ``ref`` is raised here, as without helpers.  A run whose helper fails
     is formatted here instead.  The file is written by this process alone
@@ -217,14 +201,10 @@ def emit_plot_data(pw: PiecewisePoly, path: PathLike,
     than two runs' rows.  A failed write raises :class:`WriteError`.
     """
     fn = ref.fn if ref else None
-    runs = _plot_runs(len(pw.segments))
     try:
         with open(path, "wb") as out:
-            out.write(("x,F," + ("G," if fn else "") + "segment_index,is_knot\r\n").encode())
-            if len(runs) == 1:
-                out.writelines(_plot_chunks(pw, fn, runs[0]))
-            else:
-                _write_runs_split(out, pw, fn, runs)
+            out.write(_plotrows.header(fn is not None))
+            _write_runs(out, pw, fn, _plot_runs(len(pw.segments)))
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from exc
 

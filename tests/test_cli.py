@@ -472,3 +472,14 @@ class TestRepeatedCalls:
         with pytest.raises(SystemExit):
             build_parser().parse_args([sub, "--help"])
         assert capsys.readouterr().out == cached
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--exec", "prog", "--vars", "x,x", "--grid", "x=1:5:3"],
+    ["approx", "--fn", "log2", "--from", "8", "--to", "4", "--segments", "3"],
+    ["classify", "--input", "s.csv", "--candidates", "log"],
+], ids=["profile", "approx", "classify"])
+def test_usage_error_names_its_subcommand(argv, capsys):
+    # errors a handler finds after parsing print the subcommand's usage
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"usage: qseg {argv[0]} ")

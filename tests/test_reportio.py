@@ -2,15 +2,21 @@
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qseg import reportio
+from qseg._plotrows import KNOT_MATCH_TOL, PLOT_POINTS_PER_SEGMENT
 from qseg.accuracy import NAMED_REFERENCES, ReferenceFn, accuracy_vs
 from qseg.errors import EvenSeries, NonMonotonicX, ParseError
 from qseg.interp import (
@@ -23,8 +29,6 @@ from qseg.interp import (
 from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile
 from qseg.reportio import (
     FORMAT_VERSION,
-    KNOT_MATCH_TOL,
-    PLOT_POINTS_PER_SEGMENT,
     PLOT_ROWS_PER_RUN,
     approx_document,
     dump_document,
@@ -310,6 +314,35 @@ class TestPlotBytes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # no child left, running or unreaped
         assert os.listdir(tmp_path) == ["plot.csv"]
+
+
+@st.composite
+def plotted_models(draw):
+    """A model of 1..8 segments in any blend mode, some narrow and far from
+    0, over random samples, so trailing-secant knots jump; and a reference
+    or none."""
+    m = draw(st.integers(1, 8))
+    start = draw(st.sampled_from([-3.0, 0.0, 1e6]) | st.floats(-100, 100))
+    widths = draw(st.lists(st.sampled_from([1e-3]) | st.floats(1e-3, 10), min_size=m, max_size=m))
+    xs = nodes_from_bounds(list(itertools.accumulate(widths, initial=start)))
+    ys = draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False),
+                       min_size=len(xs), max_size=len(xs)))
+    pw = build_piecewise(SampleSeries.from_arrays(xs, ys), draw(st.sampled_from(BlendMode)))
+    return pw, draw(st.sampled_from([None, NAMED_REFERENCES["cospix"]]))
+
+
+class TestPlotRowsProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(plotted_models(), st.sampled_from([1, 3]))
+    def test_matches_reference_writer(self, case, cpus):
+        # on three CPUs, runs as short as one segment go to helpers
+        pw, ref = case
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            patch.setattr(reportio, "_usable_cpus", lambda: cpus)
+            patch.setattr(reportio, "PLOT_ROWS_PER_RUN", PLOT_POINTS_PER_SEGMENT)
+            emit_plot_data(pw, Path(tmp) / "plot.csv", ref)
+            reference_plot_data(pw, Path(tmp) / "reference.csv", ref)
+            assert (Path(tmp) / "plot.csv").read_bytes() == (Path(tmp) / "reference.csv").read_bytes()
 
 
 class TestDocuments:
