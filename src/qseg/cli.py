@@ -175,18 +175,9 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
         command = shlex.split(args.exec_cmd)
         if not command:
             parser.error("--exec command is empty")
-        if args.vars is None:
-            variables = list(grids)
-        else:
-            variables = [n.strip() for n in args.vars.split(",")]
-            if not all(variables):
-                parser.error(f"--vars has an empty variable name: {args.vars!r}")
-        if not variables:
-            parser.error("--exec needs --vars or at least one --grid")
-        try:
-            target = TargetSpec.for_command(command, variables)
-        except ValueError as exc:
-            parser.error(str(exc))
+        if not grids:
+            parser.error("--exec needs at least one --grid")
+        target = TargetSpec.for_command(command, list(grids))
 
     missing = [n for n in target.variable_names if n not in grids]
     if missing:
@@ -328,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_profile.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", help="builtin target name")
     group.add_argument("--exec", dest="exec_cmd",
-                       help="external command invoked as CMD --var NAME=VALUE ...")
-    p_profile.add_argument("--vars", help="comma-separated variable names for --exec")
+                       help="command run as CMD --var NAME=VALUE ... for each --grid")
     p_profile.add_argument("--grid", action="append", metavar="VAR=lo:hi:n",
                            help="odd-count integer grid for one variable (repeatable)")
     p_profile.add_argument("--reps", type=int, default=5, help="timed repetitions per point")

@@ -139,7 +139,7 @@ class MeasureConfig:
     jitter mostly cancels; the seed drives deterministic input-data
     generation (regenerated per repetition to avoid cache warming).
     ``min`` aggregation estimates the uncontended floor on machines with
-    background load (contention only ever adds time).
+    background load.
     """
 
     warmup_runs: int = 1
@@ -423,12 +423,11 @@ def _first_pass_constant(spec: ArgSpec, grid: Sequence[int]) -> int:
     return 0 if spec.min_value <= 0 else int(grid[0])
 
 
-def _representative_constant(spec: ArgSpec, grid: Sequence[int], model: PiecewisePoly) -> int:
+def _representative_constant(model: PiecewisePoly) -> int:
     middle = model.segments[(len(model.segments) - 1) // 2]
-    delta = middle.representative_input()
-    value = int(round(delta))
-    value = max(value, int(spec.min_value), int(grid[0]))
-    return min(value, int(grid[-1]))
+    # the representative input lies strictly inside the middle segment, whose
+    # bounds are grid nodes already checked against the validity floor
+    return int(round(middle.representative_input()))
 
 
 def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
@@ -466,10 +465,7 @@ def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
     if target.arity == 1:
         return RuntimeProfile(target, (coarse[names[0]],), ())
 
-    rep_constants = {
-        n: _representative_constant(target.arg_spec(n), grids[n], coarse[n].model)
-        for n in names
-    }
+    rep_constants = {n: _representative_constant(coarse[n].model) for n in names}
     profiles = sweep_all(rep_constants)
 
     interactions = []

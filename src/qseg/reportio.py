@@ -425,6 +425,10 @@ def _sweep_from_json(sweep: dict) -> SweepResult:
         for s in _array(sweep["samples"], "samples")
     )
     fixed_values = _numbers(sweep["fixed_values"], "fixed_values")
+    for s in samples:
+        if s.args != {**fixed_values, variable: s.args.get(variable)}:
+            raise ValueError(f"sample args {s.args} are not the sweep of {variable!r} "
+                             f"at fixed values {fixed_values}")
     series = SampleSeries.from_arrays([s.args[variable] for s in samples],
                                       [s.cpu_seconds for s in samples])
     return SweepResult(variable, fixed_values, samples, series)
@@ -436,7 +440,8 @@ def profile_from_document(doc: dict) -> RuntimeProfile:
     name, variables and command but has no runner (validity floors are not
     recorded).  Raises ParseError when the document holds no sweeps or is
     malformed: among other faults, when the sweeps repeat a variable or
-    name one the target does not declare, or a pair label is not
+    name one the target does not declare, a sample's args are not its
+    sweep's fixed values plus the swept variable, or a pair label is not
     ``additive`` or ``composite`` of two distinct swept variables."""
     if not doc.get("sweeps"):
         raise ParseError("profile document contains no sweeps")

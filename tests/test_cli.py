@@ -186,7 +186,7 @@ class TestProfile:
                     "--out", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
-    def test_vars_names_are_stripped(self, tmp_path, monkeypatch):
+    def test_exec_variables_follow_grid_order(self, tmp_path, monkeypatch):
         declared = []
 
         def measure(target, *args):
@@ -194,28 +194,24 @@ class TestProfile:
             raise TargetFailure("not measured")
 
         monkeypatch.setattr(cli, "build_runtime_profile", measure)
-        assert run(["profile", "--exec", "prog", "--vars", " x, b ", "--grid", "x=2:10:3",
-                    "--grid", "b=2:10:3", "--out", str(tmp_path / "p.json")]) == 1
-        assert declared == [("x", "b")]
+        assert run(["profile", "--exec", "prog", "--grid", "b=2:10:3",
+                    "--grid", "x=2:10:3", "--out", str(tmp_path / "p.json")]) == 1
+        assert declared == [("b", "x")]
+
+    @pytest.mark.parametrize("source", [["--target", "binary-search"], ["--exec", "prog"]],
+                             ids=["target", "exec"])
+    def test_vars_flag_exit_two(self, tmp_path, capsys, monkeypatch, source):
+        def measure(*args):
+            pytest.fail("measured despite --vars")
+
+        monkeypatch.setattr(cli, "build_runtime_profile", measure)
+        assert run(["profile", *source, "--vars", "x", "--grid", "x=64:1024:3",
+                    "--out", str(tmp_path / "p.json")]) == 2
+        assert "unrecognized arguments: --vars" in capsys.readouterr().err
 
     def test_empty_grid_name_exit_two(self, capsys):
         assert run(["profile", "--exec", "prog", "--grid", " =2:10:3"]) == 2
         assert "names no variable" in capsys.readouterr().err
-
-    def test_repeated_vars_name_exit_two(self, tmp_path, capsys, monkeypatch):
-        def measure(*args):
-            raise AssertionError("measured a target with a repeated variable")
-
-        monkeypatch.setattr(cli, "build_runtime_profile", measure)
-        assert run(["profile", "--exec", "prog", "--vars", "x,x", "--grid", "x=1:5:3",
-                    "--out", str(tmp_path / "p.json")]) == 2
-        assert "repeats a variable name" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("names", ["x,", "x, ,b", " ", ""])
-    def test_empty_vars_name_exit_two(self, capsys, names):
-        assert run(["profile", "--exec", "prog", "--vars", names,
-                    "--grid", "x=2:10:3"]) == 2
-        assert "--vars has an empty variable name" in capsys.readouterr().err
 
     @pytest.mark.integration
     def test_two_variable_target_additive_label(self, tmp_path):
@@ -475,7 +471,7 @@ class TestRepeatedCalls:
 
 
 @pytest.mark.parametrize("argv", [
-    ["profile", "--exec", "prog", "--vars", "x,x", "--grid", "x=1:5:3"],
+    ["profile", "--exec", "prog", "--grid", "x=1:5:3", "--grid", "x=1:5:3"],
     ["approx", "--fn", "log2", "--from", "8", "--to", "4", "--segments", "3"],
     ["classify", "--input", "s.csv", "--candidates", "log"],
 ], ids=["profile", "approx", "classify"])

@@ -506,6 +506,14 @@ class TestDocuments:
                      id="fixed-value-string"),
         pytest.param(lambda d: d["sweeps"][0].update(fixed_values=[["b", 1]]),
                      id="fixed-values-list"),
+        pytest.param(lambda d: d["sweeps"][0]["fixed_values"].update(b=999),
+                     id="fixed-value-not-run"),
+        pytest.param(lambda d: d["sweeps"][0]["samples"][0]["args"].update(zzz=1),
+                     id="args-undeclared"),
+        pytest.param(lambda d: d["sweeps"][0]["samples"][-1]["args"].pop("b"),
+                     id="args-missing-fixed"),
+        pytest.param(lambda d: d["sweeps"][1]["fixed_values"].pop("x"),
+                     id="fixed-values-missing"),
         pytest.param(lambda d: d["models"]["x"]["segments"][0].update(a="0.5"),
                      id="model-number-string"),
         pytest.param(lambda d: d["models"]["x"]["segments"][0].update(node_xs="012"),
