@@ -296,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name: str, handler, help: str) -> argparse.ArgumentParser:
-        # a handler reports usage errors through its own subcommand's parser
+        # usage errors are reported through the subcommand's own parser
         command = sub.add_parser(name, help=help)
-        command.set_defaults(run=functools.partial(handler, parser=command))
+        command.set_defaults(run=handler, parser=command)
         return command
 
     p_approx = add_command("approx", cmd_approx, "model a series or a named function")
@@ -353,9 +353,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args, extras = _parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        return args.run(args)
+        return args.run(args, args.parser)
     except QsegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

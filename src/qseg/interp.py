@@ -196,23 +196,18 @@ def secant_line(p: SamplePoint, q: SamplePoint) -> LinearFn:
 def lagrange_quadratic(p0: SamplePoint, p1: SamplePoint, p2: SamplePoint) -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the parabola through three samples.
 
-    Degenerates to a line (a == 0) when the points are collinear.
+    Degenerates to a line (a == 0) when the points are collinear.  The
+    coefficients expand the Newton form y0 + d1*(x - x0) + d2*(x - x0)*(x - x1)
+    from divided differences d1, d2.  The Lagrange basis terms, expanded
+    instead, are large on a narrow triple far from 0 and cancel about
+    (x / width)**2 of precision; the Newton form keeps the nodes to a few ulps.
     """
     x0, x1, x2 = p0.x, p1.x, p2.x
     if x0 == x1 or x0 == x2 or x1 == x2:
         raise DegenerateNodes(f"repeated node x in ({x0}, {x1}, {x2})")
-    a = b = c = 0.0
-    for (xj, yj, xu, xv) in (
-        (x0, p0.y, x1, x2),
-        (x1, p1.y, x0, x2),
-        (x2, p2.y, x0, x1),
-    ):
-        d = (xj - xu) * (xj - xv)
-        # y_j * (x - x_u)(x - x_v) / d  expanded into monomials
-        a += yj / d
-        b += yj * -(xu + xv) / d
-        c += yj * (xu * xv) / d
-    return a, b, c
+    d1 = (p1.y - p0.y) / (x1 - x0)
+    d2 = ((p2.y - p1.y) / (x2 - x1) - d1) / (x2 - x0)
+    return d2, d1 - d2 * (x0 + x1), p0.y - x0 * (d1 - d2 * x1)
 
 
 def lagrange_general(series: SampleSeries) -> np.ndarray:

@@ -474,8 +474,11 @@ class TestRepeatedCalls:
     ["profile", "--exec", "prog", "--grid", "x=1:5:3", "--grid", "x=1:5:3"],
     ["approx", "--fn", "log2", "--from", "8", "--to", "4", "--segments", "3"],
     ["classify", "--input", "s.csv", "--candidates", "log"],
-], ids=["profile", "approx", "classify"])
+    ["profile", "--target", "binary-search", "--vars", "x"],
+    ["eval", "--model", "r.json", "--at", "1", "--bogus"],
+], ids=["profile", "approx", "classify", "profile-unrecognized", "eval-unrecognized"])
 def test_usage_error_names_its_subcommand(argv, capsys):
-    # errors a handler finds after parsing print the subcommand's usage
+    # errors found while parsing and by a handler after it both print the
+    # subcommand's usage
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith(f"usage: qseg {argv[0]} ")

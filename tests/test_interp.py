@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qseg.accuracy import NAMED_REFERENCES
 from qseg.errors import (
     DegenerateNodes,
     EvenSeries,
@@ -34,6 +35,7 @@ from qseg.interp import (
     secant_line,
     self_similar_next,
 )
+from test_acceptance import quadrature_rule
 
 P = SamplePoint
 
@@ -54,6 +56,22 @@ def random_smooth_functions(rng, count):
             return amp * math.sin(freq * x + phase) + float(np.polyval(poly, x / 5.0))
 
         yield fn
+
+
+#: The nodes of a segment's triple that each mode's segment passes through.
+NODES_HIT = [
+    (BlendMode.PURE_LAGRANGE, (0, 1, 2)),
+    (BlendMode.TRAILING_SECANT, (1, 2)),
+    (BlendMode.ENDPOINT_SECANT, (0, 2)),
+]
+
+#: The paper's reference segmentations: (function, from, to, bound layout).
+PAPER_SEGMENTATIONS = [
+    ("log2", 8.0, 64.0, np.geomspace),
+    ("cospix", 0.0, 1.5, np.linspace),
+    ("exp2", 3.0, 6.0, np.linspace),
+    ("ratio", 2.0, 16.0, np.geomspace),
+]
 
 
 class TestSampleSeries:
@@ -113,6 +131,14 @@ class TestLagrangeQuadratic:
     def test_repeated_x_rejected(self):
         with pytest.raises(DegenerateNodes):
             lagrange_quadratic(P(0, 0), P(0, 1), P(2, 4))
+
+    def test_narrow_triple_far_from_zero(self):
+        # the width is 1/1400 of x, where expanding the Lagrange basis
+        # terms cancelled about (x / width)**2 of precision
+        points = [P(x, 2.0 ** x) for x in (4.2, 4.2015, 4.203)]
+        a, b, c = lagrange_quadratic(*points)
+        for p in points:
+            assert abs((a * p.x + b) * p.x + c - p.y) <= 1e-13 * p.y
 
 
 class TestLagrangeGeneral:
@@ -174,11 +200,7 @@ class TestBuildSegment:
         with pytest.raises(DegenerateNodes):
             build_segment(P(2, 0), P(1, 1), P(0, 4), BlendMode.PURE_LAGRANGE)
 
-    @pytest.mark.parametrize("mode,nodes_hit", [
-        (BlendMode.PURE_LAGRANGE, (0, 1, 2)),
-        (BlendMode.TRAILING_SECANT, (1, 2)),
-        (BlendMode.ENDPOINT_SECANT, (0, 2)),
-    ])
+    @pytest.mark.parametrize("mode,nodes_hit", NODES_HIT)
     def test_interpolated_nodes_per_mode(self, mode, nodes_hit):
         # each mode pins the nodes its secant shares with the parabola; the
         # endpoint blend holds its middle node to the midpoint identity
@@ -253,6 +275,26 @@ class TestBuildPiecewise:
         )
         with pytest.raises(NonMonotonicX):
             PiecewisePoly(segments, BlendMode.PURE_LAGRANGE)
+
+    @pytest.mark.parametrize("mode,nodes_hit", NODES_HIT)
+    @pytest.mark.parametrize("name,lo,hi,layout", PAPER_SEGMENTATIONS,
+                             ids=[case[0] for case in PAPER_SEGMENTATIONS])
+    def test_thousand_segments_hit_nodes_and_rules(self, name, lo, hi, layout, mode, nodes_hit):
+        # narrow segments far from 0, where the coefficients must not cancel
+        xs = nodes_from_bounds(layout(lo, hi, 1001))
+        series = sample_function(NAMED_REFERENCES[name].fn, xs)
+        pw = build_piecewise(series, mode)
+        ys = list(series.ys)
+        y_range = max(ys) - min(ys)
+        for i in range(len(pw.segments)):
+            nx, ny = xs[2 * i:2 * i + 3], ys[2 * i:2 * i + 3]
+            for k in nodes_hit:
+                assert abs(pw.evaluate(nx[k]) - ny[k]) <= 1e-12 * y_range, (i, k)
+            # the antiderivative is evaluated at both ends in global x and
+            # cancels about x / width of precision, so integrals get 1e-11
+            h = nx[2] - nx[0]
+            rule = quadrature_rule(mode, h, *ny)
+            assert abs(pw.integral(nx[0], nx[2]) - rule) <= 1e-11 * y_range * h, i
 
 
 class TestEvaluate:
