@@ -30,7 +30,7 @@ from .classify import (
     classify,
     classify_profile,
 )
-from .errors import GridTooSmall, QsegError, WriteError
+from .errors import GridTooSmall, OutOfDomain, ParseError, QsegError, WriteError
 from .interp import BlendMode, build_piecewise, nodes_from_bounds, sample_function
 from .profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
 from .targets import batch_scale
@@ -53,36 +53,33 @@ def _resolve_seed(flag_value: Optional[int], parser: argparse.ArgumentParser) ->
         parser.error(f"QSEG_SEED must be an integer, got {env!r}")
 
 
-def _parse_grid_flag(text: str, parser: argparse.ArgumentParser) -> tuple[str, list[int]]:
+def _grid_flag(text: str) -> tuple[str, list[int]]:
     try:
         name, spec = text.split("=", 1)
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = int(lo_s), int(hi_s), int(n_s)
     except ValueError:
-        parser.error(f"--grid expects VAR=lo:hi:n, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects VAR=lo:hi:n, got {text!r}") from None
     name = name.strip()
     if not name:
-        parser.error(f"--grid {text!r} names no variable")
+        raise argparse.ArgumentTypeError(f"{text!r} names no variable")
     try:
-        grid = integer_grid(lo, hi, n)
+        return name, integer_grid(lo, hi, n)
     except GridTooSmall as exc:
-        parser.error(f"--grid {text!r}: {exc}")
-    return name, grid
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
-def _parse_candidates(text: Optional[str], parser: argparse.ArgumentParser):
-    if text is None:
-        return DEFAULT_CANDIDATES
+def _candidates(text: str):
     names = [n.strip() for n in text.split(",") if n.strip()]
     unknown = [n for n in names if n not in CANDIDATES_BY_NAME]
     if unknown:
-        parser.error(
+        raise argparse.ArgumentTypeError(
             f"unknown candidate(s) {unknown}; known: {sorted(CANDIDATES_BY_NAME)}"
         )
     if len(names) < 2:
-        parser.error("--candidates needs at least two class names")
+        raise argparse.ArgumentTypeError("needs at least two class names")
     if len(set(names)) < len(names):
-        parser.error(f"--candidates repeats a class name: {names}")
+        raise argparse.ArgumentTypeError(f"repeats a class name: {names}")
     return tuple(CANDIDATES_BY_NAME[n] for n in names)
 
 
@@ -110,8 +107,6 @@ def _segment_bounds(lo: float, hi: float, segments: int, spacing: str,
 
 
 def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
-    if (args.input is None) == (args.fn is None):
-        parser.error("give exactly one of --input or --fn")
     mode = BlendMode(args.mode)
     ref = None
     if args.fn is not None:
@@ -121,18 +116,14 @@ def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--to must exceed --from")
         if args.segments < 1:
             parser.error("--segments must be >= 1")
-        ref = NAMED_REFERENCES.get(args.fn)
-        if ref is None:
-            parser.error(
-                f"unknown function {args.fn!r}; known: {sorted(NAMED_REFERENCES)}"
-            )
+        ref = NAMED_REFERENCES[args.fn]
         bounds = _segment_bounds(args.from_, args.to, args.segments, args.spacing, parser)
         try:
             series = sample_function(ref.fn, nodes_from_bounds(bounds))
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            print(f"error: cannot sample {args.fn} on [{args.from_}, {args.to}]: {exc}",
-                  file=sys.stderr)
-            return 1
+            raise OutOfDomain(
+                f"cannot sample {args.fn} on [{args.from_}, {args.to}]: {exc}"
+            ) from exc
         source = {
             "variable": "x",
             "function": args.fn,
@@ -163,8 +154,7 @@ def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
     grids = {}
-    for flag in args.grid or []:
-        name, grid = _parse_grid_flag(flag, parser)
+    for name, grid in args.grid or []:
         if name in grids:
             parser.error(f"duplicate --grid for {name!r}")
         grids[name] = grid
@@ -172,12 +162,11 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
     if args.target:
         target = TargetSpec.for_builtin(args.target)
     else:
-        command = shlex.split(args.exec_cmd)
-        if not command:
+        if not args.exec_cmd:
             parser.error("--exec command is empty")
         if not grids:
             parser.error("--exec needs at least one --grid")
-        target = TargetSpec.for_command(command, list(grids))
+        target = TargetSpec.for_command(args.exec_cmd, list(grids))
 
     missing = [n for n in target.variable_names if n not in grids]
     if missing:
@@ -233,18 +222,14 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
 # --- classify ----------------------------------------------------------------
 
 def cmd_classify(args, parser: argparse.ArgumentParser) -> int:
-    if (args.profile is None) == (args.input is None):
-        parser.error("give exactly one of --profile or --input")
-    candidates = _parse_candidates(args.candidates, parser)
-
     if args.input is not None:
         series = reportio.read_series(args.input)
-        report = classify(series, candidates)
+        report = classify(series, args.candidates)
         _print_report(report, f"series {args.input}:")
         return 0
 
     doc = reportio.load_document(args.profile)
-    result = classify_profile(reportio.profile_from_document(doc), candidates)
+    result = classify_profile(reportio.profile_from_document(doc), args.candidates)
     doc["classification"] = reportio.classification_to_json(result)
     reportio.dump_document(doc, args.profile)
     for variable, report in result.per_variable.items():
@@ -260,8 +245,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     doc = reportio.load_document(args.model)
     models = reportio.models_from_document(doc)
     if not models:
-        print(f"error: {args.model} contains no models", file=sys.stderr)
-        return 1
+        raise ParseError(f"{args.model} contains no models")
     if args.var is not None:
         if args.var not in models:
             parser.error(f"no model for variable {args.var!r}; have {sorted(models)}")
@@ -302,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         return command
 
     p_approx = add_command("approx", cmd_approx, "model a series or a named function")
-    p_approx.add_argument("--input", help="CSV series with an x,y header")
-    p_approx.add_argument("--fn", help="named reference function "
-                          f"({', '.join(sorted(NAMED_REFERENCES))})")
+    group = p_approx.add_mutually_exclusive_group(required=True)
+    group.add_argument("--input", help="CSV series with an x,y header")
+    group.add_argument("--fn", choices=sorted(NAMED_REFERENCES), help="named reference function")
     p_approx.add_argument("--from", dest="from_", type=float, help="domain start")
     p_approx.add_argument("--to", type=float, help="domain end")
     p_approx.add_argument("--segments", type=int, help="segment count")
@@ -318,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = add_command("profile", cmd_profile, "measure a target and build its profile")
     group = p_profile.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", help="builtin target name")
-    group.add_argument("--exec", dest="exec_cmd",
+    group.add_argument("--exec", dest="exec_cmd", type=shlex.split,
                        help="command run as CMD --var NAME=VALUE ... for each --grid")
-    p_profile.add_argument("--grid", action="append", metavar="VAR=lo:hi:n",
+    p_profile.add_argument("--grid", action="append", type=_grid_flag, metavar="VAR=lo:hi:n",
                            help="odd-count integer grid for one variable (repeatable)")
     p_profile.add_argument("--reps", type=int, default=5, help="timed repetitions per point")
     p_profile.add_argument("--warmups", type=int, default=1, help="untimed warmup runs")
@@ -331,9 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--out", default="profile.json", help="profile document path")
 
     p_classify = add_command("classify", cmd_classify, "rank candidate complexity classes")
-    p_classify.add_argument("--profile", help="profile document to classify and update")
-    p_classify.add_argument("--input", help="CSV series to classify")
-    p_classify.add_argument("--candidates", help="comma-separated class names "
+    group = p_classify.add_mutually_exclusive_group(required=True)
+    group.add_argument("--profile", help="profile document to classify and update")
+    group.add_argument("--input", help="CSV series to classify")
+    p_classify.add_argument("--candidates", type=_candidates, default=DEFAULT_CANDIDATES,
+                            help="comma-separated class names "
                             f"(default: {','.join(c.name for c in DEFAULT_CANDIDATES)})")
 
     p_eval = add_command("eval", cmd_eval, "evaluate a persisted model")

@@ -119,9 +119,6 @@ class LinearFn:
     slope: float
     intercept: float
 
-    def value(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
 
 @dataclass(frozen=True)
 class QuadraticSegment:
@@ -146,9 +143,13 @@ class QuadraticSegment:
         return 2.0 * self.a * x + self.b
 
     def integral(self, u: float, v: float) -> float:
-        """Exact integral of the parabola from u to v."""
+        """Exact integral of the parabola from u to v.
+
+        Factored as (v - u) times the mean value: the difference of the
+        antiderivative at v and u would cancel about u / (v - u) of precision.
+        """
         a3, b2, c = self.a / 3.0, self.b / 2.0, self.c
-        return ((a3 * v + b2) * v + c) * v - ((a3 * u + b2) * u + c) * u
+        return (v - u) * (a3 * (u * u + u * v + v * v) + b2 * (u + v) + c)
 
     def average(self) -> float:
         """Mean value of the segment over its own bounds."""
@@ -374,12 +375,12 @@ class PiecewisePoly:
         j = bisect_left(his, b)
         p3, p2, p = self._anti[i]
         if i == j:
-            return ((p3 * b + p2) * b + p) * b - ((p3 * a + p2) * a + p) * a
+            return (b - a) * (p3 * (a * a + a * b + b * b) + p2 * (a + b) + p)
         v = his[i]
-        head = ((p3 * v + p2) * v + p) * v - ((p3 * a + p2) * a + p) * a
+        head = (v - a) * (p3 * (a * a + a * v + v * v) + p2 * (a + v) + p)
         q3, q2, q = self._anti[j]
         u = his[j - 1]  # segment j's lo, by contiguity
-        tail = ((q3 * b + q2) * b + q) * b - ((q3 * u + q2) * u + q) * u
+        tail = (b - u) * (q3 * (u * u + u * b + b * b) + q2 * (u + b) + q)
         return head + (self._prefix[j] - self._prefix[i + 1]) + tail
 
 

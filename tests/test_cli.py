@@ -11,7 +11,7 @@ import pytest
 from qseg import cli
 from qseg.classify import classify_profile
 from qseg.cli import build_parser, main
-from qseg.errors import TargetFailure
+from qseg.errors import OutOfDomain, ParseError, TargetFailure
 from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
 from qseg.reportio import dump_document, load_document, profile_document
 from qseg.targets import batch_scale
@@ -88,6 +88,15 @@ class TestApprox:
         code = run(["approx", "--fn", "log2", "--from", "-4", "--to", "4",
                     "--segments", "2", "--out", str(tmp_path / "r.json")])
         assert code == 1
+
+    def test_sampling_failure_raises_out_of_domain(self, tmp_path, capsys):
+        argv = ["approx", "--fn", "log2", "--from", "-4", "--to", "4",
+                "--segments", "2", "--out", str(tmp_path / "r.json")]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(OutOfDomain, match=r"^cannot sample log2 on \[-4.0, 4.0\]: ") as exc:
+            args.run(args, args.parser)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     def test_plot_to_stdout_pipe(self, tmp_path):
         # a plot large enough to be split across helper processes reaches a
@@ -376,6 +385,25 @@ class TestEval:
         assert run(["eval", "--model", str(report), "--at", "16", "--var", "x"]) == 0
         assert run(["eval", "--model", str(report), "--at", "16", "--var", "zz"]) == 2
 
+    def test_several_models_need_var(self, report, capsys):
+        doc = json.loads(report.read_text())
+        doc["models"]["y"] = doc["models"]["x"]
+        report.write_text(json.dumps(doc))
+        assert run(["eval", "--model", str(report), "--at", "16"]) == 2
+        assert "pick one with --var" in capsys.readouterr().err
+        assert run(["eval", "--model", str(report), "--at", "16", "--var", "y"]) == 0
+
+    def test_no_models_raises_parse_error(self, report, capsys):
+        doc = json.loads(report.read_text())
+        doc["models"] = {}
+        report.write_text(json.dumps(doc))
+        argv = ["eval", "--model", str(report), "--at", "16"]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ParseError):
+            args.run(args, args.parser)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {report} contains no models\n"
+
 
 class TestSeedPrecedence:
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
@@ -405,6 +433,15 @@ class TestHelp:
         assert run([sub, "--help"]) == 0
         out = capsys.readouterr().out
         assert "--" in out
+
+    @pytest.mark.parametrize("sub,sources", [
+        ("approx", "(--input INPUT | --fn {cospix,exp2,log2,ratio})"),
+        ("profile", "(--target TARGET | --exec EXEC_CMD)"),
+        ("classify", "(--profile PROFILE | --input INPUT)"),
+    ], ids=["approx", "profile", "classify"])
+    def test_usage_shows_exclusive_sources(self, sub, sources, capsys):
+        assert run([sub, "--help"]) == 0
+        assert sources in capsys.readouterr().out
 
 
 class TestRepeatedCalls:
@@ -476,7 +513,19 @@ class TestRepeatedCalls:
     ["classify", "--input", "s.csv", "--candidates", "log"],
     ["profile", "--target", "binary-search", "--vars", "x"],
     ["eval", "--model", "r.json", "--at", "1", "--bogus"],
-], ids=["profile", "approx", "classify", "profile-unrecognized", "eval-unrecognized"])
+    ["approx", "--fn", "log2", "--from", "0", "--to", "4", "--segments", "2",
+     "--spacing", "geometric"],
+    ["approx", "--fn", "log2"],
+    ["approx", "--fn", "log2", "--from", "8", "--to", "64", "--segments", "0"],
+    ["profile", "--exec", "", "--grid", "x=1:5:3"],
+    ["profile", "--exec", "prog"],
+    ["profile", "--exec", "'prog", "--grid", "x=1:5:3"],
+    ["profile", "--target", "binary-search", "--grid", "x=64:1024:3", "--reps", "2"],
+    ["classify"],
+], ids=["profile", "approx", "classify", "profile-unrecognized", "eval-unrecognized",
+        "approx-geometric-from-zero", "approx-fn-without-domain", "approx-zero-segments",
+        "profile-empty-exec", "profile-exec-without-grid", "profile-unclosed-quote",
+        "profile-too-few-reps", "classify-no-source"])
 def test_usage_error_names_its_subcommand(argv, capsys):
     # errors found while parsing and by a handler after it both print the
     # subcommand's usage

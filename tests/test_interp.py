@@ -114,8 +114,8 @@ class TestSecantLine:
             x0, dx = rng.uniform(-5, 5), rng.uniform(0.1, 4)
             y0, y1 = rng.uniform(-10, 10, size=2)
             line = secant_line(P(x0, y0), P(x0 + dx, y1))
-            assert line.value(x0) == pytest.approx(y0, rel=1e-12, abs=1e-12)
-            assert line.value(x0 + dx) == pytest.approx(y1, rel=1e-12, abs=1e-12)
+            for x, y in ((x0, y0), (x0 + dx, y1)):
+                assert line.slope * x + line.intercept == pytest.approx(y, rel=1e-12, abs=1e-12)
 
 
 class TestLagrangeQuadratic:
@@ -227,7 +227,7 @@ class TestBuildSegment:
             seg = build_segment(P(xs[0], ys[0]), P(xs[1], ys[1]), P(xs[2], ys[2]),
                                 BlendMode.ENDPOINT_SECANT)
             chord = secant_line(P(xs[0], ys[0]), P(xs[2], ys[2]))
-            expected = 0.5 * (ys[1] + chord.value(xs[1]))
+            expected = 0.5 * (ys[1] + (chord.slope * xs[1] + chord.intercept))
             assert seg.value(xs[1]) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -290,11 +290,9 @@ class TestBuildPiecewise:
             nx, ny = xs[2 * i:2 * i + 3], ys[2 * i:2 * i + 3]
             for k in nodes_hit:
                 assert abs(pw.evaluate(nx[k]) - ny[k]) <= 1e-12 * y_range, (i, k)
-            # the antiderivative is evaluated at both ends in global x and
-            # cancels about x / width of precision, so integrals get 1e-11
             h = nx[2] - nx[0]
             rule = quadrature_rule(mode, h, *ny)
-            assert abs(pw.integral(nx[0], nx[2]) - rule) <= 1e-11 * y_range * h, i
+            assert abs(pw.integral(nx[0], nx[2]) - rule) <= 1e-12 * y_range * h, i
 
 
 class TestEvaluate:
@@ -543,8 +541,7 @@ def oracle_derivative(pw, x):
 
 
 def oracle_segment_integral(seg, u, v):
-    anti = lambda t: ((seg.a / 3.0 * t + seg.b / 2.0) * t + seg.c) * t
-    return anti(v) - anti(u)
+    return (v - u) * (seg.a / 3.0 * (u * u + u * v + v * v) + seg.b / 2.0 * (u + v) + seg.c)
 
 
 def composed_integral(pw, a, b):
