@@ -8,14 +8,19 @@ next segment, where the next segment's F differs by more than
 ``KNOT_MATCH_TOL`` (relative).  A reference adds G, which the caller
 computes at :func:`segment_xs`.
 
-Run as a script, it reads a marshalled list of :func:`segment_text`
-arguments on standard input and writes their rows to standard output.  It
-imports only the standard library, so a helper interpreter starts in
+Run as a script, it writes to standard output the rows of the segments
+that :func:`write_input` wrote to standard input: the byte length of the
+heads, as 8 little-endian bytes; the heads, a marshalled list that holds
+each segment's :func:`segment_text` index, ``seg`` and ``after`` and the
+count of its G values (None without a reference); then the G values of
+every segment in order, as native float64, which round-trip bit for bit.
+It imports only the standard library, so a helper interpreter starts in
 milliseconds.
 """
 
 import marshal
 import sys
+from array import array
 
 #: Dense evaluation points per segment.
 PLOT_POINTS_PER_SEGMENT = 200
@@ -59,7 +64,38 @@ def segment_text(index: int, seg: tuple, after, gs) -> str:
     return "".join(lines)
 
 
+def write_input(out, heads: list, references) -> None:
+    """Write segments for the script to format into the binary file
+    ``out``.  ``heads`` holds each segment's (index, seg, after), as
+    :func:`segment_text` takes them; ``references`` yields, head by head,
+    the segment's G at :func:`segment_xs`, or is None without a
+    reference.  Each segment's G values are written as they come."""
+    encoded = marshal.dumps([
+        (index, seg, after,
+         None if references is None else PLOT_POINTS_PER_SEGMENT + (after is not None))
+        for index, seg, after in heads
+    ])
+    out.write(len(encoded).to_bytes(8, "little"))
+    out.write(encoded)
+    for gs in references or ():
+        array("d", gs).tofile(out)
+
+
+def read_input(stream):
+    """Yield the :func:`segment_text` arguments of each segment that
+    :func:`write_input` wrote to the binary file ``stream``."""
+    # one read of the heads: marshal.load on a file reads it a few bytes per call
+    heads = marshal.loads(stream.read(int.from_bytes(stream.read(8), "little")))
+    values = array("d")
+    values.frombytes(stream.read())
+    start = 0
+    for index, seg, after, count in heads:
+        gs = None
+        if count is not None:
+            gs, start = values[start:start + count], start + count
+        yield index, seg, after, gs
+
+
 if __name__ == "__main__":
-    # one read: marshal.load on a file reads it a few bytes per call
-    for args in marshal.loads(sys.stdin.buffer.read()):
+    for args in read_input(sys.stdin.buffer):
         sys.stdout.buffer.write(segment_text(*args).encode())

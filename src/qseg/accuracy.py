@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OutOfDomain, SignMismatch, ZeroIntegral
+from .errors import OutOfDomain, QuadratureBudget, SignMismatch, ZeroIntegral
 from .interp import PiecewisePoly, SampleSeries
 
 #: Aggregate integrals below this magnitude cannot form a meaningful ratio.
@@ -24,6 +24,16 @@ ZERO_INTEGRAL_TOL = 1e-12
 #: quadrature.
 QUADRATURE_TOL = 1e-10
 QUADRATURE_MAX_DEPTH = 50
+
+#: Tolerance relative to the magnitude of an interval's integral, for
+#: integrals so large that rounding alone exceeds ``QUADRATURE_TOL``.
+QUADRATURE_REL_TOL = 1e-14
+
+#: Most reference evaluations in one quadrature.  The paper's references
+#: need at most 353 on the paper's domains; an integrand that never
+#: settles, such as cos(pi x) at x beyond 2**53, would otherwise take up to
+#: 2**51.
+QUADRATURE_MAX_EVALUATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -65,15 +75,26 @@ class AccuracyReport:
 
 def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson quadrature with absolute tolerance
-    ``QUADRATURE_TOL``, halving at most ``QUADRATURE_MAX_DEPTH`` times."""
+    ``QUADRATURE_TOL``, or ``QUADRATURE_REL_TOL`` of an interval's integral
+    where that is larger, halving at most ``QUADRATURE_MAX_DEPTH`` times.
+    Raises QuadratureBudget once it would evaluate ``fn`` more than
+    ``QUADRATURE_MAX_EVALUATIONS`` times."""
     if a == b:
         return 0.0
+    evaluations = 3
 
     def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
     def recurse(lo: float, hi: float, flo: float, fmid: float, fhi: float,
                 whole: float, eps: float, depth: int) -> float:
+        nonlocal evaluations
+        evaluations += 2
+        if evaluations > QUADRATURE_MAX_EVALUATIONS:
+            raise QuadratureBudget(
+                f"the integral on [{a!r}, {b!r}] did not converge within "
+                f"{QUADRATURE_MAX_EVALUATIONS} evaluations"
+            )
         mid = 0.5 * (lo + hi)
         lmid = 0.5 * (lo + mid)
         rmid = 0.5 * (mid + hi)
@@ -81,7 +102,8 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
         frmid = fn(rmid)
         left = simpson(lo, mid, flo, flmid, fmid)
         right = simpson(mid, hi, fmid, frmid, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
+        tolerance = max(15.0 * eps, QUADRATURE_REL_TOL * abs(left + right))
+        if depth <= 0 or abs(left + right - whole) <= tolerance:
             return left + right + (left + right - whole) / 15.0
         return (
             recurse(lo, mid, flo, flmid, fmid, left, eps / 2.0, depth - 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import shlex
 import sys
@@ -69,6 +70,16 @@ def _grid_flag(text: str) -> tuple[str, list[int]]:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _candidates(text: str):
     names = [n.strip() for n in text.split(",") if n.strip()]
     unknown = [n for n in names if n not in CANDIDATES_BY_NAME]
@@ -114,6 +125,8 @@ def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--fn needs --from, --to and --segments")
         if args.to <= args.from_:
             parser.error("--to must exceed --from")
+        if not math.isfinite(args.to - args.from_):
+            parser.error("--to minus --from exceeds the float range")
         if args.segments < 1:
             parser.error("--segments must be >= 1")
         ref = NAMED_REFERENCES[args.fn]
@@ -289,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_approx.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="CSV series with an x,y header")
     group.add_argument("--fn", choices=sorted(NAMED_REFERENCES), help="named reference function")
-    p_approx.add_argument("--from", dest="from_", type=float, help="domain start")
-    p_approx.add_argument("--to", type=float, help="domain end")
+    p_approx.add_argument("--from", dest="from_", type=_finite_float, help="domain start")
+    p_approx.add_argument("--to", type=_finite_float, help="domain end")
     p_approx.add_argument("--segments", type=int, help="segment count")
     p_approx.add_argument("--spacing", choices=["even", "geometric"], default="even",
                           help="segment bound layout for --fn (default even)")

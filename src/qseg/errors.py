@@ -51,6 +51,11 @@ class ZeroIntegral(QsegError):
     """An aggregate integral is too close to zero to form a ratio."""
 
 
+class QuadratureBudget(QsegError):
+    """Adaptive quadrature spent its evaluation budget before it met its
+    tolerance."""
+
+
 class TargetFailure(QsegError):
     """A measurement target raised or exited non-zero."""
 

@@ -9,8 +9,9 @@ written by a newer major version.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
-import marshal
 import os
 import shutil
 import subprocess
@@ -119,31 +120,39 @@ def _plot_runs(segment_count: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _segment_args(pw: PiecewisePoly, fn, i: int) -> tuple:
-    """Segment ``i`` as ``_plotrows.segment_text`` takes it: its index, its
-    bounds and coefficients, the next segment's coefficients and, with a
-    reference, G at each row's x."""
+def _segment_head(pw: PiecewisePoly, i: int) -> tuple:
+    """Segment ``i`` as ``_plotrows.segment_text`` takes it, less the
+    reference values: its index, its bounds and coefficients, and the next
+    segment's coefficients, or None for the last."""
     seg = pw.segments[i]
     last = i + 1 == len(pw.segments)
     after = None if last else (pw.segments[i + 1].a, pw.segments[i + 1].b, pw.segments[i + 1].c)
-    gs = None
-    if fn is not None:
-        gs = [float(fn(x)) for x in _plotrows.segment_xs(seg.lo, seg.hi, not last)]
-    return i, (seg.lo, seg.hi, seg.a, seg.b, seg.c), after, gs
+    return i, (seg.lo, seg.hi, seg.a, seg.b, seg.c), after
+
+
+def _reference_values(fn, head: tuple) -> list:
+    """G at each row's x of the segment ``head`` describes."""
+    _, (lo, hi, *_), after = head
+    return [float(fn(x)) for x in _plotrows.segment_xs(lo, hi, after is not None)]
 
 
 def _plot_chunks(pw: PiecewisePoly, fn, run: tuple[int, int]):
     """The CSV bytes of a run, one chunk per segment."""
     for i in range(*run):
-        yield _plotrows.segment_text(*_segment_args(pw, fn, i)).encode()
+        head = _segment_head(pw, i)
+        gs = None if fn is None else _reference_values(fn, head)
+        yield _plotrows.segment_text(*head, gs).encode()
 
 
 def _start_helper(pw: PiecewisePoly, fn, run: tuple[int, int], part):
     """Start an interpreter that formats ``run`` into ``part``; None when
     it cannot be started.  The run's reference values are computed here
-    first, so an error in them is raised before the helper starts."""
+    first, a segment at a time, so an error in them is raised before the
+    helper starts."""
+    heads = [_segment_head(pw, i) for i in range(*run)]
+    references = None if fn is None else (_reference_values(fn, head) for head in heads)
     with tempfile.TemporaryFile() as segments:
-        marshal.dump([_segment_args(pw, fn, i) for i in range(*run)], segments)
+        _plotrows.write_input(segments, heads, references)
         segments.seek(0)
         try:
             return subprocess.Popen([sys.executable, "-I", "-S", str(_HELPER)],
@@ -362,13 +371,26 @@ def approx_document(pw: PiecewisePoly, source: dict,
     }
 
 
+#: Encoder chunks joined at a time while a document is encoded.
+_DUMP_BATCH = 4096
+
+
 def dump_document(doc: dict, path: PathLike) -> None:
     """Write ``doc`` as sorted, indented JSON; a failed write raises
-    :class:`WriteError`."""
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    :class:`WriteError`.
+
+    The document is encoded in full before ``path`` is opened, so an
+    encoding error (a NaN, say) leaves an existing file as it was.  The
+    encoder's chunks are joined a batch at a time, so only one batch of
+    them is held beside the text."""
+    text = io.StringIO()
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False).iterencode(doc)
+    while batch := list(itertools.islice(chunks, _DUMP_BATCH)):
+        text.write("".join(batch))
+    text.write("\n")
     try:
         with open(path, "w") as handle:
-            handle.write(text + "\n")
+            handle.write(text.getvalue())
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from exc
 

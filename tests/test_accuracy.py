@@ -8,12 +8,13 @@ from scipy.integrate import quad
 
 from qseg.accuracy import (
     NAMED_REFERENCES,
+    QUADRATURE_MAX_EVALUATIONS,
     ReferenceFn,
     accuracy_vs,
     adaptive_simpson,
     validate_profile,
 )
-from qseg.errors import OutOfDomain, SignMismatch, ZeroIntegral
+from qseg.errors import OutOfDomain, QuadratureBudget, SignMismatch, ZeroIntegral
 from qseg.interp import (
     BlendMode,
     SampleSeries,
@@ -49,6 +50,24 @@ class TestAdaptiveSimpson:
             ref = NAMED_REFERENCES[name]
             want = quad(ref.fn, a, b, epsabs=1e-12, limit=200)[0]
             assert adaptive_simpson(ref.fn, a, b) == pytest.approx(want, abs=1e-8)
+
+    def test_large_integral_meets_a_relative_tolerance(self):
+        # rounding alone exceeds the absolute tolerance on [1e6, 1e12]
+        want = quad(math.log2, 1e6, 1e12, epsrel=1e-13, limit=200)[0]
+        assert adaptive_simpson(math.log2, 1e6, 1e12) == pytest.approx(want, rel=1e-12)
+
+    def test_evaluation_budget(self):
+        calls = []
+
+        def noise(x):
+            calls.append(x)
+            return math.cos(math.pi * x)
+
+        # beyond 2**53 every float is an even integer, and pi x rounds to
+        # points cos takes anywhere in [-1, 1]
+        with pytest.raises(QuadratureBudget, match=r"\[0.0, 1e\+300\] did not converge"):
+            adaptive_simpson(noise, 0.0, 1e300)
+        assert len(calls) <= QUADRATURE_MAX_EVALUATIONS
 
 
 class TestAccuracyVs:

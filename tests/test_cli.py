@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -83,6 +84,35 @@ class TestApprox:
                     "--segments", "3"]) == 2
         assert run(["approx", "--fn", "log2", "--from", "8", "--to", "4",
                     "--segments", "3"]) == 2
+
+    @pytest.mark.parametrize("bounds", [["--from", "8", "--to", "inf"],
+                                        ["--from", "nan", "--to", "4"],
+                                        ["--from=-1e308", "--to", "1e308"]])
+    def test_non_finite_domain_is_a_usage_error(self, tmp_path, bounds):
+        # in a process of its own, so that a warning would reach stderr
+        done = subprocess.run(
+            [sys.executable, "-m", "qseg.cli", "approx", "--fn", "cospix", *bounds,
+             "--segments", "2", "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage: qseg approx ")
+        assert "Warning" not in done.stderr
+        assert os.listdir(tmp_path) == []
+
+    def test_quadrature_work_is_bounded(self, tmp_path, capsys):
+        # rounding exceeds the absolute tolerance on [1e6, 1e12], and
+        # cos(pi x) never settles on [0, 1e300]
+        out = tmp_path / "r.json"
+        started = time.perf_counter()
+        assert run(["approx", "--fn", "log2", "--from", "1e6", "--to", "1e12",
+                    "--segments", "2", "--out", str(out)]) == 0
+        assert run(["approx", "--fn", "cospix", "--from", "0", "--to", "1e300",
+                    "--segments", "2", "--out", str(tmp_path / "never.json")]) == 1
+        assert time.perf_counter() - started < 10
+        assert "did not converge within" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["r.json"]
 
     def test_log2_domain_error_exit_one(self, tmp_path):
         code = run(["approx", "--fn", "log2", "--from", "-4", "--to", "4",

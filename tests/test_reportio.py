@@ -8,6 +8,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,61 @@ class TestPlotBytes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # no child left, running or unreaped
         assert os.listdir(tmp_path) == ["plot.csv"]
+
+    def test_extreme_reference_values_on_the_split(self, tmp_path, helpers):
+        # helpers receive G as raw doubles: a signed zero, the least
+        # subnormal and a value near the largest float keep their repr
+        extremes = (-0.0, 5e-324, 1.7e308)
+        ref = ReferenceFn("extremes", lambda x: extremes[hash(x) % 3])
+        pw = cospix_model(BlendMode.TRAILING_SECANT, SPLIT_SEGMENTS)
+        emit_plot_data(pw, tmp_path / "plot.csv", ref)
+        reference_plot_data(pw, tmp_path / "reference.csv", ref)
+        written = (tmp_path / "plot.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert all(f",{value!r},".encode() in written for value in extremes)
+        assert [helper.returncode for helper in helpers] == [0, 0]
+
+
+def traced_peak(write) -> int:
+    """The most memory traced while ``write()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    """The writers hold one segment, or one batch of encoder chunks, at a
+    time, so their memory does not grow with plot rows."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_plot_peak_is_bounded(self, tmp_path, helpers, monkeypatch, cpus):
+        monkeypatch.setattr(reportio, "_usable_cpus", lambda: cpus)
+        pw = cospix_model(BlendMode.TRAILING_SECANT, 1200)
+        peak = traced_peak(lambda: emit_plot_data(pw, tmp_path / "plot.csv",
+                                                  NAMED_REFERENCES["cospix"]))
+        assert [helper.returncode for helper in helpers] == [0] * (cpus - 1)
+        assert peak < 512 * 1024
+
+    def test_dump_peak_under_three_times_the_file(self, tmp_path):
+        pw = cospix_model(BlendMode.ENDPOINT_SECANT, 1200)
+        doc = approx_document(pw, {"variable": "x"}, accuracy_vs(pw, NAMED_REFERENCES["cospix"]))
+        path = tmp_path / "report.json"
+        peak = traced_peak(lambda: dump_document(doc, path))
+        assert peak < 3 * path.stat().st_size
+
+    def test_encoding_error_leaves_an_existing_document(self, tmp_path):
+        path = tmp_path / "report.json"
+        doc = approx_document(log2_model(), {"variable": "x"})
+        dump_document(doc, path)
+        before = path.read_bytes()
+        # "source" sorts after "models", so the error comes late in encoding
+        doc["source"]["from"] = math.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_document(doc, path)
+        assert path.read_bytes() == before
 
 
 @st.composite
