@@ -77,8 +77,9 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson quadrature with absolute tolerance
     ``QUADRATURE_TOL``, or ``QUADRATURE_REL_TOL`` of an interval's integral
     where that is larger, halving at most ``QUADRATURE_MAX_DEPTH`` times.
-    Raises QuadratureBudget once it would evaluate ``fn`` more than
-    ``QUADRATURE_MAX_EVALUATIONS`` times."""
+    Raises OutOfDomain at once when a Simpson estimate is not finite (an
+    integral beyond the float range), and QuadratureBudget once it would
+    evaluate ``fn`` more than ``QUADRATURE_MAX_EVALUATIONS`` times."""
     if a == b:
         return 0.0
     evaluations = 3
@@ -102,9 +103,12 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
         frmid = fn(rmid)
         left = simpson(lo, mid, flo, flmid, fmid)
         right = simpson(mid, hi, fmid, frmid, fhi)
-        tolerance = max(15.0 * eps, QUADRATURE_REL_TOL * abs(left + right))
-        if depth <= 0 or abs(left + right - whole) <= tolerance:
-            return left + right + (left + right - whole) / 15.0
+        estimate = left + right
+        if not math.isfinite(estimate):
+            raise OutOfDomain(f"the integral on [{a!r}, {b!r}] is not finite: {estimate!r}")
+        tolerance = max(15.0 * eps, QUADRATURE_REL_TOL * abs(estimate))
+        if depth <= 0 or abs(estimate - whole) <= tolerance:
+            return estimate + (estimate - whole) / 15.0
         return (
             recurse(lo, mid, flo, flmid, fmid, left, eps / 2.0, depth - 1)
             + recurse(mid, hi, fmid, frmid, fhi, right, eps / 2.0, depth - 1)

@@ -130,7 +130,8 @@ def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
         if args.segments < 1:
             parser.error("--segments must be >= 1")
         ref = NAMED_REFERENCES[args.fn]
-        bounds = _segment_bounds(args.from_, args.to, args.segments, args.spacing, parser)
+        spacing = args.spacing or "even"
+        bounds = _segment_bounds(args.from_, args.to, args.segments, spacing, parser)
         try:
             series = sample_function(ref.fn, nodes_from_bounds(bounds))
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -143,10 +144,14 @@ def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
             "from": args.from_,
             "to": args.to,
             "segments": args.segments,
-            "spacing": args.spacing,
+            "spacing": spacing,
             "mode": mode.value,
         }
     else:
+        flags = zip(("--from", "--to", "--segments", "--spacing"),
+                    (args.from_, args.to, args.segments, args.spacing))
+        if given := [flag for flag, value in flags if value is not None]:
+            parser.error(f"--input does not take {', '.join(given)}, only --fn does")
         series = reportio.read_series(args.input)
         source = {"variable": "x", "input": str(args.input), "mode": mode.value}
 
@@ -305,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--from", dest="from_", type=_finite_float, help="domain start")
     p_approx.add_argument("--to", type=_finite_float, help="domain end")
     p_approx.add_argument("--segments", type=int, help="segment count")
-    p_approx.add_argument("--spacing", choices=["even", "geometric"], default="even",
+    p_approx.add_argument("--spacing", choices=["even", "geometric"],
                           help="segment bound layout for --fn (default even)")
     p_approx.add_argument("--mode", choices=MODE_CHOICES,
                           default=BlendMode.ENDPOINT_SECANT.value)

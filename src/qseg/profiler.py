@@ -2,8 +2,9 @@
 
 Targets are swept one variable at a time while the others are pinned to
 constants; each sweep becomes a piecewise quadratic model of CPU seconds
-versus that variable.  Pairs of variables are then probed to decide whether
-one merely shifts the other's curve (additive) or reshapes it (composite).
+versus that variable.  Pairs of variables are then probed, and
+:func:`label_pair` decides from the measured probe sweeps alone whether one
+merely shifts the other's curve (additive) or reshapes it (composite).
 
 Measurements are strictly serialized: never time targets from multiple
 threads of one process, CPU-time attribution breaks.
@@ -35,7 +36,7 @@ RESOLUTION_MARGIN = 100
 
 #: A difference curve counts as constant when its max-min spread stays under
 #: max(ADDITIVE_RANGE_FRACTION * curve range, ADDITIVE_NOISE_FACTOR * pooled
-#: repetition dispersion).
+#: repetition dispersion, 3 clock steps for clocked samples).
 ADDITIVE_RANGE_FRACTION = 0.05
 ADDITIVE_NOISE_FACTOR = 3.0
 
@@ -367,21 +368,37 @@ def profile_variable(sweep: SweepResult, mode: BlendMode) -> VariableProfile:
     return VariableProfile(sweep, build_piecewise(sweep.series, mode))
 
 
-def _pooled_dispersion(sweeps: Sequence[SweepResult]) -> float:
-    values = [s.dispersion for sw in sweeps for s in sw.samples]
-    return float(np.sqrt(np.mean(np.square(values)))) if values else 0.0
+def label_pair(pair: tuple[str, str], sweeps: Sequence[SweepResult],
+               tick: float) -> InteractionLabel:
+    """Label ``pair`` from sweeps of its first variable, one per probe value
+    of its second; ``tick`` is the clock step.  Reads no clock, runs no target.
+
+    Consecutive curves are differenced pointwise: if every difference curve
+    is constant (see ``ADDITIVE_RANGE_FRACTION``), the second variable only
+    translates the curve and the pair is additive; otherwise it reshapes it.
+    """
+    curves = [np.asarray(sw.series.ys) for sw in sweeps]
+    dispersions = [s.dispersion for sw in sweeps for s in sw.samples]
+    # quantized clocks make per-point dispersion underestimate the noise
+    # floor (repetitions collapse onto one tick, and the difference of two
+    # quantized curves spreads across ~2 ticks)
+    clocked = any(s.clock != "synthetic" for sw in sweeps for s in sw.samples)
+    threshold = max(
+        ADDITIVE_RANGE_FRACTION * max(float(np.max(c) - np.min(c)) for c in curves),
+        ADDITIVE_NOISE_FACTOR * float(np.sqrt(np.mean(np.square(dispersions)))),
+        3.0 * tick if clocked else 0.0,
+    )
+    diffs = [upper - lower for lower, upper in zip(curves, curves[1:])]
+    evidence = max((float(np.max(d) - np.min(d)) for d in diffs), default=0.0)
+    label = "additive" if evidence <= threshold else "composite"
+    return InteractionLabel(tuple(pair), label, evidence, threshold)
 
 
 def detect_interaction(target: TargetSpec, var_a: str, var_b: str,
                        grid_a: Sequence[int], probes_b: Sequence[int],
                        fixed: dict[str, int], cfg: MeasureConfig) -> InteractionLabel:
-    """Label the (var_a, var_b) pair additive or composite.
-
-    Sweeps var_a once per probe value of var_b and differences consecutive
-    curves pointwise: if every difference curve is constant (its spread
-    stays under the noise-aware threshold), var_b only translates the
-    curve and the pair is additive; otherwise it reshapes it.
-    """
+    """Label the (var_a, var_b) pair additive or composite: sweep var_a once
+    per probe value of var_b, then decide with :func:`label_pair`."""
     if target.arity < 2:
         raise InsufficientArity(f"{target.name} has arity {target.arity}")
     if var_a == var_b or not {var_a, var_b} <= set(target.variable_names):
@@ -392,35 +409,8 @@ def detect_interaction(target: TargetSpec, var_a: str, var_b: str,
     probes = sorted(set(int(p) for p in probes_b))
     if len(probes) < 2:
         raise ValueError("need at least two distinct probe values")
-    sweeps = [
-        sweep_single(target, var_a, grid_a, {**fixed, var_b: p}, cfg)
-        for p in probes
-    ]
-    curves = [np.asarray(sw.series.ys) for sw in sweeps]
-    full_range = max(float(np.max(c) - np.min(c)) for c in curves)
-    # quantized clocks make per-point dispersion underestimate the noise
-    # floor (repetitions collapse onto one tick, and the difference of two
-    # quantized curves spreads across ~2 ticks); include the clock step
-    # for clocked targets
-    clocked = any(s.clock != "synthetic" for sw in sweeps for s in sw.samples)
-    tick_floor = 3.0 * effective_clock_tick() if clocked else 0.0
-    threshold = max(
-        ADDITIVE_RANGE_FRACTION * full_range,
-        ADDITIVE_NOISE_FACTOR * _pooled_dispersion(sweeps),
-        tick_floor,
-    )
-    evidence = 0.0
-    for lower, upper in zip(curves, curves[1:]):
-        diff = upper - lower
-        evidence = max(evidence, float(np.max(diff) - np.min(diff)))
-    label = "additive" if evidence <= threshold else "composite"
-    return InteractionLabel((var_a, var_b), label, evidence, threshold)
-
-
-def _first_pass_constant(spec: ArgSpec, grid: Sequence[int]) -> int:
-    # pin at 0 like the single-variable derivation; fall back to the
-    # smallest grid value for targets that reject 0
-    return 0 if spec.min_value <= 0 else int(grid[0])
+    sweeps = [sweep_single(target, var_a, grid_a, {**fixed, var_b: p}, cfg) for p in probes]
+    return label_pair((var_a, var_b), sweeps, effective_clock_tick())
 
 
 def _representative_constant(model: PiecewisePoly) -> int:
@@ -432,47 +422,46 @@ def _representative_constant(model: PiecewisePoly) -> int:
 
 def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
                           cfg: MeasureConfig, mode: BlendMode = BlendMode.ENDPOINT_SECANT) -> RuntimeProfile:
-    """Sweep every variable, refine the pinned constants, label every pair.
+    """Measure every sweep, then model each variable and label every pair.
 
-    First pass pins non-swept variables at zero (or the smallest grid value
-    where zero is invalid) to expose each variable's own shape.  For
-    multi-variable targets a second pass re-sweeps with the other variables
-    pinned at their representative inputs -- the grid value whose modelled
-    cost equals the coarse model's segment average.  Pair labels come from
-    probe sweeps at the extremes of the pair's second variable.
+    The coarse pass sweeps each variable with the others pinned at zero (or
+    the smallest grid value where zero is invalid) to expose its own shape.
+    For multi-variable targets the coarse models fix the pins: each
+    variable's representative input, the integer whose modelled cost equals
+    its coarse model's middle-segment average.  Every later sweep is planned
+    from those pins: one refined sweep per variable, then for each pair a
+    probe sweep of its first variable at each end of its second's grid.
+    The refined sweeps become the models; :func:`label_pair` labels each
+    pair from its probe sweeps.
     """
     names = target.variable_names
     missing = [n for n in names if n not in grids]
     if missing:
         raise GridTooSmall(f"no grid declared for {missing}")
     grids = {n: _checked_grid(grids[n], f"grid for {n}") for n in names}
+    first_pins = {}
     for name in names:
         spec = target.arg_spec(name)
         if grids[name][0] < spec.min_value:
             raise GridTooSmall(
                 f"grid for {name} starts below its validity floor {spec.min_value}"
             )
+        first_pins[name] = 0 if spec.min_value <= 0 else grids[name][0]
 
-    def sweep_all(constants: dict[str, int]) -> dict[str, VariableProfile]:
-        return {
-            name: profile_variable(sweep_single(
-                target, name, grids[name], {n: constants[n] for n in names if n != name}, cfg
-            ), mode)
-            for name in names
-        }
+    def sweep(name: str, pins: dict[str, int]) -> SweepResult:
+        others = {n: v for n, v in pins.items() if n != name}
+        return sweep_single(target, name, grids[name], others, cfg)
 
-    coarse = sweep_all({n: _first_pass_constant(target.arg_spec(n), grids[n]) for n in names})
+    coarse = [profile_variable(sweep(n, first_pins), mode) for n in names]
     if target.arity == 1:
-        return RuntimeProfile(target, (coarse[names[0]],), ())
+        return RuntimeProfile(target, tuple(coarse), ())
 
-    rep_constants = {n: _representative_constant(coarse[n].model) for n in names}
-    profiles = sweep_all(rep_constants)
+    pins = {vp.variable: _representative_constant(vp.model) for vp in coarse}
+    refined = [sweep(n, pins) for n in names]
+    pairs = list(itertools.combinations(names, 2))
+    probes = [[sweep(a, {**pins, b: grids[b][0]}), sweep(a, {**pins, b: grids[b][-1]})]
+              for a, b in pairs]
 
-    interactions = []
-    for var_a, var_b in itertools.combinations(names, 2):
-        probes = sorted({grids[var_b][0], grids[var_b][-1]})
-        fixed = {n: rep_constants[n] for n in names if n not in (var_a, var_b)}
-        interactions.append(detect_interaction(
-            target, var_a, var_b, grids[var_a], probes, fixed, cfg
-        ))
-    return RuntimeProfile(target, tuple(profiles.values()), tuple(interactions))
+    tick = effective_clock_tick()
+    return RuntimeProfile(target, tuple(profile_variable(sw, mode) for sw in refined),
+                          tuple(label_pair(pair, sw, tick) for pair, sw in zip(pairs, probes)))

@@ -69,6 +69,22 @@ class TestAdaptiveSimpson:
             adaptive_simpson(noise, 0.0, 1e300)
         assert len(calls) <= QUADRATURE_MAX_EVALUATIONS
 
+    @pytest.mark.parametrize("fn, a, b", [
+        (math.log2, 1e154, 1e308),  # each half's Simpson sum overflows
+        (lambda x: math.nan, 0.0, 1.0),
+    ], ids=["overflow", "nan"])
+    def test_non_finite_estimate_raises_at_once(self, fn, a, b):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return fn(x)
+
+        with pytest.raises(OutOfDomain, match=r"the integral on \[.*\] is not finite: (inf|nan)"):
+            adaptive_simpson(counted, a, b)
+        # the three points of the whole interval and the two quarter points
+        assert len(calls) == 5
+
 
 class TestAccuracyVs:
     def test_identical_quadratic_scores_one(self):

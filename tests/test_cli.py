@@ -102,17 +102,30 @@ class TestApprox:
         assert os.listdir(tmp_path) == []
 
     def test_quadrature_work_is_bounded(self, tmp_path, capsys):
-        # rounding exceeds the absolute tolerance on [1e6, 1e12], and
-        # cos(pi x) never settles on [0, 1e300]
+        # rounding exceeds the absolute tolerance on [1e6, 1e12], cos(pi x)
+        # never settles on [0, 1e300], and log2's integral on [1e154, 1e308]
+        # is beyond the float range
         out = tmp_path / "r.json"
         started = time.perf_counter()
         assert run(["approx", "--fn", "log2", "--from", "1e6", "--to", "1e12",
                     "--segments", "2", "--out", str(out)]) == 0
         assert run(["approx", "--fn", "cospix", "--from", "0", "--to", "1e300",
                     "--segments", "2", "--out", str(tmp_path / "never.json")]) == 1
+        assert run(["approx", "--fn", "log2", "--from=1", "--to", "1e308", "--segments", "2",
+                    "--spacing", "geometric", "--out", str(tmp_path / "inf.json")]) == 1
         assert time.perf_counter() - started < 10
-        assert "did not converge within" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "did not converge within" in err
+        assert "[1e+154, 1e+308] is not finite: inf" in err
         assert os.listdir(tmp_path) == ["r.json"]
+
+    @pytest.mark.parametrize("flag", [["--from", "1"], ["--to", "2"], ["--segments", "5"],
+                                      ["--spacing", "even"]], ids=lambda flag: flag[0][2:])
+    def test_fn_flags_with_input_exit_two(self, tmp_path, series_csv, capsys, flag):
+        out = tmp_path / "r.json"
+        assert run(["approx", "--input", str(series_csv), *flag, "--out", str(out)]) == 2
+        assert f"--input does not take {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_log2_domain_error_exit_one(self, tmp_path):
         code = run(["approx", "--fn", "log2", "--from", "-4", "--to", "4",

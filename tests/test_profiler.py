@@ -20,15 +20,18 @@ from qseg.errors import (
     InsufficientArity,
     TargetFailure,
 )
-from qseg.interp import BlendMode, Concavity
+from qseg.interp import BlendMode, Concavity, SampleSeries
 from qseg.profiler import (
     MeasureConfig,
+    SweepResult,
     TargetSpec,
     TimerResolutionWarning,
+    TimingSample,
     build_runtime_profile,
     detect_interaction,
     geometric_grid,
     integer_grid,
+    label_pair,
     measure,
     profile_variable,
     sweep_single,
@@ -38,6 +41,17 @@ CFG = MeasureConfig(repetitions=3, seed=42)
 
 LOG_GRID = [8, 16, 32, 64, 128, 256, 512]
 LIN_GRID = [1, 8, 16, 32, 64, 128, 256]
+
+#: Synthetic targets of every pair kind, with their grids: (fn, variables,
+#: validity floors, grids).
+PAIR_TARGETS = {
+    "add": (lambda x, b: math.log2(x) + 0.1 * b, ["x", "b"], {"x": 1},
+            {"x": LOG_GRID, "b": LIN_GRID}),
+    "mul": (lambda x, b: math.log2(x) * b, ["x", "b"], {"x": 1},
+            {"x": LOG_GRID, "b": LIN_GRID}),
+    "tri": (lambda m, x, b: 1e-3 * m * x + math.log2(max(b, 2)), ["m", "x", "b"], {"b": 2},
+            {"m": [1, 2, 3, 4, 5, 6, 7], "x": LIN_GRID, "b": [2, 4, 8, 16, 32, 64, 128]}),
+}
 
 
 def synthetic(name, fn, variables, **kw):
@@ -307,6 +321,61 @@ class TestDetectInteraction:
             detect_interaction(target, var_a, var_b, LOG_GRID, [1, 5], {"b": 1}, CFG)
 
 
+def made_sweep(ys, clock, dispersion=0.0):
+    xs = list(range(1, len(ys) + 1))
+    samples = tuple(TimingSample({"b": 1, "x": x}, y, dispersion, clock) for x, y in zip(xs, ys))
+    return SweepResult("x", {"b": 1}, samples, SampleSeries.from_arrays(xs, ys))
+
+
+class TestLabelPair:
+    @pytest.mark.parametrize("name", sorted(PAIR_TARGETS))
+    def test_relabels_sweeps_taken_apart_from_the_profile(self, name):
+        fn, variables, floors, grids = PAIR_TARGETS[name]
+        target = synthetic(name, fn, variables, min_values=floors)
+        profile = build_runtime_profile(target, grids, CFG)
+        pins = {}
+        for vp in profile.profiles:
+            pins.update(vp.sweep.fixed_values)
+        tick = profiler.effective_clock_tick()
+        relabelled = []
+        for var_a, var_b in itertools.combinations(variables, 2):
+            rest = {n: v for n, v in pins.items() if n not in (var_a, var_b)}
+            sweeps = [sweep_single(target, var_a, grids[var_a], {**rest, var_b: end}, CFG)
+                      for end in (grids[var_b][0], grids[var_b][-1])]
+            relabelled.append(label_pair((var_a, var_b), sweeps, tick))
+        # dataclass equality: pair, label, evidence and threshold bit for bit
+        assert tuple(relabelled) == profile.interactions
+        assert [l.label for l in relabelled] == {
+            "add": ["additive"], "mul": ["composite"],
+            "tri": ["composite", "additive", "additive"]}[name]
+
+    def test_uses_the_given_tick(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("label_pair read the clock")
+
+        monkeypatch.setattr(profiler, "effective_clock_tick", no_clock)
+        monkeypatch.setattr(targets, "effective_clock_tick", no_clock)
+        # difference curve [1.0, 1.0, 1.2]: spread about 0.2; 5% of the
+        # widest range is about 0.02
+        lower, upper = [1.0, 1.1, 1.2], [2.0, 2.1, 2.4]
+        clocked = [made_sweep(lower, "process-cpu"), made_sweep(upper, "process-cpu")]
+        coarse = label_pair(("x", "b"), clocked, 0.1)
+        assert (coarse.label, coarse.threshold) == ("additive", 3.0 * 0.1)
+        fine = label_pair(("x", "b"), clocked, 0.001)
+        assert fine.label == "composite"
+        assert fine.evidence == coarse.evidence
+        assert fine.threshold == pytest.approx(0.05 * 0.4)
+        # synthetic samples have no clock step to allow for
+        synthetic_sweeps = [made_sweep(lower, "synthetic"), made_sweep(upper, "synthetic")]
+        assert label_pair(("x", "b"), synthetic_sweeps, 0.1).threshold == fine.threshold
+
+    def test_pooled_dispersion_term(self):
+        sweeps = [made_sweep([1.0, 1.1, 1.2], "synthetic", 0.1),
+                  made_sweep([2.0, 2.1, 2.4], "synthetic", 0.1)]
+        label = label_pair(("x", "b"), sweeps, 0.0)
+        assert (label.label, label.threshold) == ("additive", pytest.approx(3.0 * 0.1))
+
+
 class TestBuildRuntimeProfile:
     @pytest.mark.parametrize("make", [
         lambda: synthetic("dup", lambda x: 1.0, ["x", "x"]),
@@ -374,6 +443,24 @@ class TestBuildRuntimeProfile:
         build_runtime_profile(target, {"x": LOG_GRID, "b": LIN_GRID}, CFG)
         assert any(b == 0 for _, b in seen)
         assert all(x >= 1 for x, _ in seen)
+
+    def test_sweep_plan(self, monkeypatch):
+        # coarse pins at 0 (b's floor is 2), refined pins at the coarse
+        # models' representative inputs, then per pair a probe sweep at each
+        # end of the second variable's grid
+        calls = []
+        sweep = profiler.sweep_single
+        monkeypatch.setattr(profiler, "sweep_single", lambda target, variable, grid, fixed, cfg:
+                            calls.append((variable, fixed)) or sweep(target, variable, grid, fixed, cfg))
+        fn, variables, floors, grids = PAIR_TARGETS["tri"]
+        build_runtime_profile(synthetic("tri", fn, variables, min_values=floors), grids, CFG)
+        assert calls == [
+            ("m", {"x": 0, "b": 2}), ("x", {"m": 0, "b": 2}), ("b", {"m": 0, "x": 0}),
+            ("m", {"x": 40, "b": 19}), ("x", {"m": 4, "b": 19}), ("b", {"m": 4, "x": 40}),
+            ("m", {"b": 19, "x": 1}), ("m", {"b": 19, "x": 256}),
+            ("m", {"x": 40, "b": 2}), ("m", {"x": 40, "b": 128}),
+            ("x", {"m": 4, "b": 2}), ("x", {"m": 4, "b": 128}),
+        ]
 
     def test_orchestration_deterministic(self):
         target = synthetic("add", lambda x, b: math.log2(x) + 0.1 * b, ["x", "b"],
