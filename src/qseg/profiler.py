@@ -217,12 +217,14 @@ def _checked_grid(grid: Sequence[int], name: str) -> list[int]:
         raise GridTooSmall(f"{name} has even length {len(grid)}")
     for left, right in zip(grid, grid[1:]):
         if right <= left:
-            raise GridTooSmall(f"{name} is not strictly increasing: {grid}")
+            raise GridTooSmall(f"{name} is not strictly increasing: {right} follows {left}")
     return grid
 
 
 def integer_grid(lo: int, hi: int, points: int) -> list[int]:
     """``points`` evenly spaced integers from lo to hi inclusive."""
+    if points > hi - lo + 1:  # rejected before a grid of that size is allocated
+        raise GridTooSmall(f"grid {lo}:{hi}:{points} has more points than integers in {lo}..{hi}")
     return _checked_grid(np.rint(np.linspace(lo, hi, max(points, 0))), f"grid {lo}:{hi}:{points}")
 
 
@@ -230,6 +232,9 @@ def geometric_grid(lo: int, hi: int, points: int) -> list[int]:
     """``points`` geometrically spaced integers from lo to hi inclusive."""
     if lo <= 0:
         raise GridTooSmall("geometric grids need a positive lower bound")
+    if points > hi - lo + 1:
+        raise GridTooSmall(f"geometric grid {lo}:{hi}:{points} has more points than integers "
+                           f"in {lo}..{hi}")
     return _checked_grid(np.rint(np.geomspace(lo, hi, max(points, 0))),
                         f"geometric grid {lo}:{hi}:{points}")
 
@@ -285,7 +290,7 @@ def _runner(target: TargetSpec,
                 argv += ["--var", f"{name}={args[name]}"]
             before = child_cpu()
             try:
-                proc = subprocess.run(argv, capture_output=True)
+                proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
             except OSError as exc:
                 raise TargetFailure(f"cannot run {argv[0]!r}: {exc}") from exc
             elapsed = child_cpu() - before
@@ -370,13 +375,17 @@ def profile_variable(sweep: SweepResult, mode: BlendMode) -> VariableProfile:
 
 def label_pair(pair: tuple[str, str], sweeps: Sequence[SweepResult],
                tick: float) -> InteractionLabel:
-    """Label ``pair`` from sweeps of its first variable, one per probe value
-    of its second; ``tick`` is the clock step.  Reads no clock, runs no target.
+    """Label ``pair`` from sweeps of its first variable over one grid, one per
+    probe value of its second (others raise ValueError); ``tick`` is the
+    clock step.  Reads no clock, runs no target.
 
     Consecutive curves are differenced pointwise: if every difference curve
     is constant (see ``ADDITIVE_RANGE_FRACTION``), the second variable only
     translates the curve and the pair is additive; otherwise it reshapes it.
     """
+    swept = {(sw.swept_variable, tuple(p.x for p in sw.series)) for sw in sweeps}
+    if len(swept) > 1 or any(variable != pair[0] for variable, _ in swept):
+        raise ValueError(f"label_pair needs every sweep to sweep {pair[0]!r} over one grid")
     curves = [np.asarray(sw.series.ys) for sw in sweeps]
     dispersions = [s.dispersion for sw in sweeps for s in sw.samples]
     # quantized clocks make per-point dispersion underestimate the noise

@@ -9,7 +9,6 @@ written by a newer major version.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import os
@@ -65,26 +64,25 @@ def read_series(path: PathLike) -> SampleSeries:
     later, when a model is built from it.  x values that do not strictly
     increase raise NonMonotonicX, from :class:`SampleSeries`.
     """
+    points = []
     try:
         with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
+            for lineno, row in enumerate(csv.reader(handle), start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["x", "y"]:
+                    continue
+                if len(row) < 2:
+                    raise ParseError(f"{path}:{lineno}: expected two columns, got {row!r}")
+                try:
+                    x, y = float(row[0]), float(row[1])
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: not numeric: {row!r}") from None
+                points.append(SamplePoint(x, y))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a readable CSV: {exc}") from exc
-    points = []
-    for lineno, row in enumerate(rows, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["x", "y"]:
-            continue
-        if len(row) < 2:
-            raise ParseError(f"{path}:{lineno}: expected two columns, got {row!r}")
-        try:
-            x, y = float(row[0]), float(row[1])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: not numeric: {row!r}") from None
-        points.append(SamplePoint(x, y))
     return SampleSeries(tuple(points))
 
 
@@ -371,8 +369,8 @@ def approx_document(pw: PiecewisePoly, source: dict,
     }
 
 
-#: Encoder chunks joined at a time while a document is encoded.
-_DUMP_BATCH = 4096
+#: Encoder chunks joined at a time while a document is encoded (about 70 KB).
+_DUMP_BATCH = 1024
 
 
 def dump_document(doc: dict, path: PathLike) -> None:
@@ -381,16 +379,16 @@ def dump_document(doc: dict, path: PathLike) -> None:
 
     The document is encoded in full before ``path`` is opened, so an
     encoding error (a NaN, say) leaves an existing file as it was.  The
-    encoder's chunks are joined a batch at a time, so only one batch of
-    them is held beside the text."""
-    text = io.StringIO()
+    encoder's chunks are joined a batch at a time, so the text is held
+    once, as joined batches, beside one batch of chunks."""
     chunks = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False).iterencode(doc)
+    text = []
     while batch := list(itertools.islice(chunks, _DUMP_BATCH)):
-        text.write("".join(batch))
-    text.write("\n")
+        text.append("".join(batch))
+    text.append("\n")
     try:
         with open(path, "w") as handle:
-            handle.write(text.getvalue())
+            handle.writelines(text)
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from exc
 

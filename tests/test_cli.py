@@ -201,6 +201,11 @@ class TestProfile:
         assert run(["profile", "--target", "binary-search", "--grid", "x=1:100:-3"]) == 2
         assert run(["profile", "--target", "binary-search", "--grid", "x=nope"]) == 2
 
+    def test_oversized_grid_exit_two_with_a_short_message(self, capsys):
+        # the count is rejected before the grid is built or printed
+        assert run(["profile", "--exec", "prog", "--grid", "x=1:5:200001"]) == 2
+        assert len(capsys.readouterr().err) < 1000
+
     def test_unknown_builtin_exit_one(self, tmp_path):
         assert run(["profile", "--target", "bogo-sort", "--grid", "x=1:9:3",
                     "--out", str(tmp_path / "p.json")]) == 1

@@ -8,6 +8,7 @@ classification coverage in the integration part of the acceptance suite.
 import itertools
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -203,6 +204,25 @@ class TestMeasureExternal:
         with pytest.raises(TargetFailure):
             measure(target, {"x": 1}, CFG)
 
+    def test_stdout_is_not_kept(self, tmp_path):
+        script = tmp_path / "loud.py"
+        script.write_text("import sys\nsys.stdout.buffer.write(b'x' * 20_000_000)\n")
+        target = TargetSpec.for_command([sys.executable, str(script)], ["x"])
+        tracemalloc.start()
+        try:
+            measure(target, {"x": 1}, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
+    def test_stderr_is_reported(self, tmp_path):
+        script = tmp_path / "fail.py"
+        script.write_text("import sys\nprint('out')\nsys.exit('bad input')\n")
+        target = TargetSpec.for_command([sys.executable, str(script)], ["x"])
+        with pytest.raises(TargetFailure, match="exited 1: bad input$"):
+            measure(target, {"x": 1}, CFG)
+
 
 class TestSweepSingle:
     def test_grid_validation(self):
@@ -213,6 +233,12 @@ class TestSweepSingle:
             sweep_single(target, "x", [1, 2, 3, 4], {}, CFG)
         with pytest.raises(GridTooSmall):
             sweep_single(target, "x", [1, 3, 2], {}, CFG)
+
+    def test_message_names_the_first_pair_that_does_not_increase(self):
+        target = synthetic("f", lambda x: float(x), ["x"])
+        with pytest.raises(GridTooSmall) as raised:
+            sweep_single(target, "x", [1, 3, 2, *range(4, 1000)], {}, CFG)
+        assert str(raised.value) == "grid for x is not strictly increasing: 2 follows 3"
 
     def test_missing_fixed_value(self):
         target = synthetic("f", lambda x, b: float(x + b), ["x", "b"])
@@ -321,10 +347,10 @@ class TestDetectInteraction:
             detect_interaction(target, var_a, var_b, LOG_GRID, [1, 5], {"b": 1}, CFG)
 
 
-def made_sweep(ys, clock, dispersion=0.0):
-    xs = list(range(1, len(ys) + 1))
-    samples = tuple(TimingSample({"b": 1, "x": x}, y, dispersion, clock) for x, y in zip(xs, ys))
-    return SweepResult("x", {"b": 1}, samples, SampleSeries.from_arrays(xs, ys))
+def made_sweep(ys, clock, dispersion=0.0, xs=None, swept="x", fixed="b"):
+    xs = list(range(1, len(ys) + 1)) if xs is None else xs
+    samples = tuple(TimingSample({fixed: 1, swept: x}, y, dispersion, clock) for x, y in zip(xs, ys))
+    return SweepResult(swept, {fixed: 1}, samples, SampleSeries.from_arrays(xs, ys))
 
 
 class TestLabelPair:
@@ -368,6 +394,24 @@ class TestLabelPair:
         # synthetic samples have no clock step to allow for
         synthetic_sweeps = [made_sweep(lower, "synthetic"), made_sweep(upper, "synthetic")]
         assert label_pair(("x", "b"), synthetic_sweeps, 0.1).threshold == fine.threshold
+
+    def test_one_sweep_is_additive(self):
+        label = label_pair(("x", "b"), [made_sweep([1.0, 5.0, 2.0], "synthetic")], 0.0)
+        assert (label.label, label.evidence) == ("additive", 0.0)
+
+    @pytest.mark.parametrize("other", [
+        # x + b over x = 10..50: read as composite (evidence 36, threshold 2)
+        made_sweep([12.0, 22.0, 32.0, 42.0, 52.0], "synthetic", xs=[10, 20, 30, 40, 50]),
+        # 3 points against 5: numpy's broadcast error
+        made_sweep([2.0, 3.0, 4.0], "synthetic"),
+        # a sweep of b at x = 1: read as additive
+        made_sweep([2.0, 3.0, 4.0, 5.0, 6.0], "synthetic", swept="b", fixed="x"),
+    ], ids=["other-grid", "other-length", "other-variable"])
+    def test_sweeps_of_one_variable_over_one_grid(self, other):
+        # x + b over x = 1..5 at b = 1
+        first = made_sweep([2.0, 3.0, 4.0, 5.0, 6.0], "synthetic")
+        with pytest.raises(ValueError, match="sweep 'x' over one grid"):
+            label_pair(("x", "b"), [first, other], 0.0)
 
     def test_pooled_dispersion_term(self):
         sweeps = [made_sweep([1.0, 1.1, 1.2], "synthetic", 0.1),
@@ -489,6 +533,7 @@ class TestDefaultGrids:
     @pytest.mark.parametrize("lo, hi, points", [
         (1, 100, 4), (1, 100, 1), (1, 100, -3),  # even, short, negative counts
         (100, 1, 5), (5, 5, 3), (1, 3, 7),  # decreasing, flat, collapsed by rounding
+        (1, 5, 1_000_000_000_001),  # rejected before 8 TB of grid is allocated
     ])
     def test_builders_reject_what_a_sweep_rejects(self, build, lo, hi, points):
         with pytest.raises(GridTooSmall):

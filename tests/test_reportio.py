@@ -353,12 +353,24 @@ class TestWriterMemory:
         assert [helper.returncode for helper in helpers] == [0] * (cpus - 1)
         assert peak < 512 * 1024
 
-    def test_dump_peak_under_three_times_the_file(self, tmp_path):
+    def test_dump_peak_under_one_and_a_half_times_the_file(self, tmp_path):
         pw = cospix_model(BlendMode.ENDPOINT_SECANT, 1200)
         doc = approx_document(pw, {"variable": "x"}, accuracy_vs(pw, NAMED_REFERENCES["cospix"]))
         path = tmp_path / "report.json"
         peak = traced_peak(lambda: dump_document(doc, path))
-        assert peak < 3 * path.stat().st_size
+        assert peak < 1.5 * path.stat().st_size
+
+    def test_series_reader_holds_the_rows_once(self, tmp_path):
+        path = tmp_path / "large.csv"
+        path.write_text("x,y\n" + "".join(f"{i},{i * 0.5}\n" for i in range(1, 50_002)))
+        tracemalloc.start()
+        try:
+            series = read_series(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 50_001
+        assert peak < 1.5 * held
 
     def test_encoding_error_leaves_an_existing_document(self, tmp_path):
         path = tmp_path / "report.json"
