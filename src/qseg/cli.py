@@ -13,6 +13,7 @@ times in one process: it builds its parser on the first call and reuses it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -68,6 +69,15 @@ def _grid_flag(text: str) -> tuple[str, list[int]]:
         return name, integer_grid(lo, hi, n)
     except GridTooSmall as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Fail before the work, not after it, if ``path`` cannot be written."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise WriteError(f"cannot write {path}: no directory {directory}")
+    if os.path.isdir(path):
+        raise WriteError(f"cannot write {path}: it is a directory")
 
 
 def _finite_float(text: str) -> float:
@@ -132,12 +142,6 @@ def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
         ref = NAMED_REFERENCES[args.fn]
         spacing = args.spacing or "even"
         bounds = _segment_bounds(args.from_, args.to, args.segments, spacing, parser)
-        try:
-            series = sample_function(ref.fn, nodes_from_bounds(bounds))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise OutOfDomain(
-                f"cannot sample {args.fn} on [{args.from_}, {args.to}]: {exc}"
-            ) from exc
         source = {
             "variable": "x",
             "function": args.fn,
@@ -152,9 +156,19 @@ def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
                     (args.from_, args.to, args.segments, args.spacing))
         if given := [flag for flag, value in flags if value is not None]:
             parser.error(f"--input does not take {', '.join(given)}, only --fn does")
-        series = reportio.read_series(args.input)
         source = {"variable": "x", "input": str(args.input), "mode": mode.value}
 
+    for path in filter(None, (args.out, args.plot)):
+        _check_writable(path)
+    if ref is None:
+        series = reportio.read_series(args.input)
+    else:
+        try:
+            series = sample_function(ref.fn, nodes_from_bounds(bounds))
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise OutOfDomain(
+                f"cannot sample {args.fn} on [{args.from_}, {args.to}]: {exc}"
+            ) from exc
     pw = build_piecewise(series, mode)
     report = accuracy_vs(pw, ref) if ref else None
     reportio.dump_document(reportio.approx_document(pw, source, report), args.out)
@@ -179,6 +193,7 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
 
     if args.target:
         target = TargetSpec.for_builtin(args.target)
+        grids = {**target.default_grids(), **grids}
     else:
         if not args.exec_cmd:
             parser.error("--exec command is empty")
@@ -186,45 +201,25 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--exec needs at least one --grid")
         target = TargetSpec.for_command(args.exec_cmd, list(grids))
 
-    missing = [n for n in target.variable_names if n not in grids]
-    if missing:
-        parser.error(f"missing --grid for declared variable(s) {missing}")
     extra = [n for n in grids if n not in target.variable_names]
     if extra:
         parser.error(f"--grid given for unknown variable(s) {extra}")
 
     seed = _resolve_seed(args.seed, parser)
     try:
-        cfg = MeasureConfig(
-            warmup_runs=args.warmups, repetitions=args.reps, seed=seed
-        )
+        cfg = MeasureConfig(warmup_runs=args.warmups, repetitions=args.reps, seed=seed)
     except ValueError as exc:
         parser.error(str(exc))
     mode = BlendMode(args.mode)
-    # fail before the measurements rather than after them
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(out_dir):
-        raise WriteError(f"cannot write {args.out}: no directory {out_dir}")
-    if os.path.isdir(args.out):
-        raise WriteError(f"cannot write {args.out}: it is a directory")
+    _check_writable(args.out)
     profile = build_runtime_profile(target, grids, cfg, mode)
-    validation = {
-        vp.variable: validate_profile(vp.model, vp.sweep.series)
-        for vp in profile.profiles
-    }
-    config = {
-        "seed": cfg.seed,
-        "repetitions": cfg.repetitions,
-        "warmup_runs": cfg.warmup_runs,
-        "aggregator": cfg.aggregator,
-        "mode": mode.value,
-        "grids": {name: list(grid) for name, grid in grids.items()},
-    }
+    validation = {vp.variable: validate_profile(vp.model, vp.sweep.series)
+                  for vp in profile.profiles}
+    config = {**dataclasses.asdict(cfg), "mode": mode.value, "grids": grids}
     if target.builtin is not None:
         config["batch_scale"] = batch_scale()
-    reportio.dump_document(
-        reportio.profile_document(profile, config, validation=validation), args.out
-    )
+    doc = reportio.profile_document(profile, config, validation=validation)
+    reportio.dump_document(doc, args.out)
     for vp in profile.profiles:
         lo, hi = vp.model.domain
         print(f"{vp.variable}: {len(vp.model.segments)} segments on "
@@ -323,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exec", dest="exec_cmd", type=shlex.split,
                        help="command run as CMD --var NAME=VALUE ... for each --grid")
     p_profile.add_argument("--grid", action="append", type=_grid_flag, metavar="VAR=lo:hi:n",
-                           help="odd-count integer grid for one variable (repeatable)")
+                           help="odd-count integer grid for one variable (repeatable); "
+                           "a builtin target's own grid for any variable not given")
     p_profile.add_argument("--reps", type=int, default=5, help="timed repetitions per point")
     p_profile.add_argument("--warmups", type=int, default=1, help="untimed warmup runs")
     p_profile.add_argument("--seed", type=int, default=None,
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = add_command("eval", cmd_eval, "evaluate a persisted model")
     p_eval.add_argument("--model", required=True, help="report/profile JSON path")
-    p_eval.add_argument("--at", type=float, required=True, help="evaluation point")
+    p_eval.add_argument("--at", type=_finite_float, required=True, help="evaluation point")
     p_eval.add_argument("--var", help="variable name when several models exist")
     p_eval.add_argument("--derivative", action="store_true",
                         help="print one-sided derivatives instead of the value")

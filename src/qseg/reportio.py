@@ -50,11 +50,15 @@ PathLike = Union[str, Path]
 # --- series CSV ----------------------------------------------------------
 
 def write_series(series: SampleSeries, path: PathLike) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "y"])
-        for point in series:
-            writer.writerow([repr(point.x), repr(point.y)])
+    """Write an ``x,y`` CSV; a failed write raises :class:`WriteError`."""
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["x", "y"])
+            for point in series:
+                writer.writerow([repr(point.x), repr(point.y)])
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc}") from exc
 
 
 def read_series(path: PathLike) -> SampleSeries:

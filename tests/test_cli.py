@@ -165,6 +165,8 @@ class TestApprox:
                     "--segments", "3", "--out", str(tmp_path / "r.json"),
                     flag, str(missing)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
+        # both destinations are checked before anything is sampled or written
+        assert os.listdir(tmp_path) == []
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -182,14 +184,39 @@ class TestProfile:
         assert code == 0
         doc = load_document(out)
         assert doc["target"]["name"] == "binary-search"
-        assert doc["config"]["seed"] == 7
-        assert doc["config"]["batch_scale"] == batch_scale()
+        assert doc["config"] == {
+            "seed": 7, "repetitions": 3, "warmup_runs": 1, "aggregator": "median",
+            "mode": "endpoint-secant", "grids": {"x": integer_grid(64, 4096, 5)},
+            "batch_scale": batch_scale(),
+        }
         assert len(doc["sweeps"][0]["samples"]) == 5
         assert len(doc["models"]["x"]["segments"]) == 2
         assert "x" in doc["validation"]
 
-    def test_missing_grid_exit_two(self):
-        assert run(["profile", "--target", "search-sort", "--grid", "x=16:65536:7"]) == 2
+    @staticmethod
+    def recorded_grids(monkeypatch, argv):
+        """The grids ``qseg profile ARGV`` would measure on, with nothing timed."""
+        recorded = []
+
+        def measure(target, grids, *args):
+            recorded.append(grids)
+            raise TargetFailure("not measured")
+
+        monkeypatch.setattr(cli, "build_runtime_profile", measure)
+        assert run(["profile", *argv, "--out", os.devnull]) == 1
+        (grids,) = recorded
+        return grids
+
+    @pytest.mark.parametrize("name", ["binary-search", "merge-sort", "search-sort", "custom"])
+    def test_builtin_without_grid_sweeps_its_default_grids(self, monkeypatch, name):
+        grids = self.recorded_grids(monkeypatch, ["--target", name])
+        assert grids == TargetSpec.for_builtin(name).default_grids()
+
+    def test_grid_overrides_only_its_own_variable(self, monkeypatch):
+        grids = self.recorded_grids(monkeypatch,
+                                    ["--target", "search-sort", "--grid", "x=16:1024:5"])
+        assert grids == {"x": [16, 268, 520, 772, 1024],
+                         "b": [4, 13, 40, 128, 406, 1290, 4096]}
 
     def test_unknown_grid_variable_exit_two(self):
         assert run(["profile", "--target", "binary-search", "--grid", "x=64:4096:5",
@@ -405,6 +432,11 @@ class TestEval:
 
     def test_out_of_domain_exit_one(self, report):
         assert run(["eval", "--model", str(report), "--at", "200"]) == 1
+
+    @pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+    def test_non_finite_point_is_a_usage_error(self, report, capsys, at):
+        assert run(["eval", "--model", str(report), f"--at={at}"]) == 2
+        assert "is not a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["NaN", "1e999"])
     def test_non_finite_coefficient_exit_one(self, report, capsys, token):

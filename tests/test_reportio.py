@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from qseg import reportio
 from qseg._plotrows import KNOT_MATCH_TOL, PLOT_POINTS_PER_SEGMENT
 from qseg.accuracy import NAMED_REFERENCES, ReferenceFn, accuracy_vs
-from qseg.errors import EvenSeries, NonMonotonicX, ParseError
+from qseg.errors import EvenSeries, NonMonotonicX, ParseError, WriteError
 from qseg.interp import (
     BlendMode,
     SampleSeries,
@@ -121,6 +121,13 @@ class TestSeriesCsv:
             back = read_series(path)
             assert [p.x for p in back] == [p.x for p in series]
             assert [p.y for p in back] == [p.y for p in series]
+
+    def test_unwritable_path_raises_write_error(self, tmp_path):
+        # the same error as the document and plot writers raise
+        path = tmp_path / "missing" / "s.csv"
+        with pytest.raises(WriteError) as exc:
+            write_series(SampleSeries.from_arrays([1, 2, 3], [1.0, 4.0, 9.0]), path)
+        assert str(exc.value).startswith(f"cannot write {path}: ")
 
 
 class TestPlotData:
