@@ -158,6 +158,8 @@ def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
             parser.error(f"--input does not take {', '.join(given)}, only --fn does")
         source = {"variable": "x", "input": str(args.input), "mode": mode.value}
 
+    if args.plot and os.path.realpath(args.plot) == os.path.realpath(args.out):
+        parser.error(f"--out and --plot name the same file, {args.out}")
     for path in filter(None, (args.out, args.plot)):
         _check_writable(path)
     if ref is None:

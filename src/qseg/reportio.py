@@ -13,13 +13,13 @@ import itertools
 import json
 import os
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from typing import Optional, Union
 
-from . import _plotrows
 from .accuracy import AccuracyReport, ReferenceFn
 from .classify import ProfileClassification
 from .errors import ParseError, WriteError
@@ -91,16 +91,63 @@ def read_series(path: PathLike) -> SampleSeries:
 
 
 # --- plot data ------------------------------------------------------------
+#
+# Segment ``(lo, hi, a, b, c)`` has ``PLOT_POINTS_PER_SEGMENT`` dense rows at
+# x = lo + (hi - lo) * j / (PLOT_POINTS_PER_SEGMENT - 1), with F =
+# (a*x + b)*x + c in ``QuadraticSegment.value``'s operation order.  All but
+# the last segment end in a knot row at hi, and in a second, flagged as the
+# next segment, where the next segment's F differs by more than
+# ``KNOT_MATCH_TOL`` (relative).  A reference adds G at each row's x.
+
+#: Dense evaluation points per segment.
+PLOT_POINTS_PER_SEGMENT = 200
+
+#: Knot values closer than this (relative) collapse to a single row.
+KNOT_MATCH_TOL = 1e-9
+
+#: Each dense row's j as a float, which multiplies faster and rounds the same.
+_STEPS = [float(j) for j in range(PLOT_POINTS_PER_SEGMENT)]
 
 #: Least dense rows in each run a plot file is split into, one run per usable
-#: CPU.  Measured on a 2-core Xeon at 2.1 GHz: a helper interpreter takes
-#: 11-13ms to start, and a row takes 1.5us to format (2.5us with the
-#: reference column).  A helper's run of 10,000 rows spares this process
-#: 15-25ms of formatting, so it outlasts the helper's start-up; on two CPUs
-#: the split starts at 20,000 rows (100 segments).
+#: CPU.  Measured on a 2-core Xeon at 2.1 GHz: forking a child of a process
+#: that holds a 1000-segment model, its exit and its reaping take 3-4 ms, and
+#: a row takes 1.5us to format (2.5us with the reference column).  A child's
+#: run of 10,000 rows spares this process 15-25ms of formatting, several
+#: times the fork's cost; on two CPUs the split starts at 20,000 rows (100
+#: segments).
 PLOT_ROWS_PER_RUN = 10_000
 
-_HELPER = Path(__file__).with_name("_plotrows.py")
+
+def header(with_reference: bool) -> bytes:
+    return ("x,F," + ("G," if with_reference else "") + "segment_index,is_knot\r\n").encode()
+
+
+def segment_xs(lo: float, hi: float, knot: bool) -> list:
+    """The x of each dense row of a segment on [lo, hi], then, with a
+    ``knot``, hi."""
+    width, last = hi - lo, _STEPS[-1]
+    xs = [lo + width * j / last for j in _STEPS]
+    return xs + [hi] if knot else xs
+
+
+def segment_text(index: int, seg: tuple, after, gs) -> str:
+    """Rows of segment ``index``, ``seg`` being its (lo, hi, a, b, c) and
+    ``after`` the next segment's (a, b, c), or None for the last.  ``gs``
+    holds G at ``segment_xs``, or is None without a reference."""
+    lo, hi, a, b, c = seg
+    xs = segment_xs(lo, hi, knot=False)
+    tail = f",{index},0\r\n"
+    if gs is None:
+        lines = [f"{x!r},{(a * x + b) * x + c!r}{tail}" for x in xs]
+    else:
+        lines = [f"{x!r},{(a * x + b) * x + c!r},{g!r}{tail}" for x, g in zip(xs, gs)]
+    if after is not None:
+        g = "" if gs is None else f",{gs[-1]!r}"
+        left, right = [(p * hi + q) * hi + r for p, q, r in ((a, b, c), after)]
+        lines.append(f"{hi!r},{left!r}{g},{index},1\r\n")
+        if abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left)):
+            lines.append(f"{hi!r},{right!r}{g},{index + 1},1\r\n")
+    return "".join(lines)
 
 
 def _usable_cpus() -> int:
@@ -112,78 +159,72 @@ def _usable_cpus() -> int:
 
 def _plot_runs(segment_count: int) -> list[tuple[int, int]]:
     """Contiguous ``[start, stop)`` segment runs, one per file part: a
-    single run on one CPU, without an interpreter to start helpers from,
-    or for a small file."""
+    single run on one CPU, for a small file, or where this process cannot
+    fork safely (no ``os.fork``, or other Python threads that may hold a
+    lock the child would wait on for ever)."""
     runs = 1
-    if sys.executable:
-        dense_rows = segment_count * _plotrows.PLOT_POINTS_PER_SEGMENT
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        dense_rows = segment_count * PLOT_POINTS_PER_SEGMENT
         runs = max(1, min(_usable_cpus(), dense_rows // PLOT_ROWS_PER_RUN))
     bounds = [segment_count * k // runs for k in range(runs + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
-def _segment_head(pw: PiecewisePoly, i: int) -> tuple:
-    """Segment ``i`` as ``_plotrows.segment_text`` takes it, less the
-    reference values: its index, its bounds and coefficients, and the next
-    segment's coefficients, or None for the last."""
-    seg = pw.segments[i]
-    last = i + 1 == len(pw.segments)
-    after = None if last else (pw.segments[i + 1].a, pw.segments[i + 1].b, pw.segments[i + 1].c)
-    return i, (seg.lo, seg.hi, seg.a, seg.b, seg.c), after
-
-
-def _reference_values(fn, head: tuple) -> list:
-    """G at each row's x of the segment ``head`` describes."""
-    _, (lo, hi, *_), after = head
-    return [float(fn(x)) for x in _plotrows.segment_xs(lo, hi, after is not None)]
-
-
 def _plot_chunks(pw: PiecewisePoly, fn, run: tuple[int, int]):
     """The CSV bytes of a run, one chunk per segment."""
+    segments = pw.segments
     for i in range(*run):
-        head = _segment_head(pw, i)
-        gs = None if fn is None else _reference_values(fn, head)
-        yield _plotrows.segment_text(*head, gs).encode()
+        seg = segments[i]
+        nxt = segments[i + 1] if i + 1 < len(segments) else None
+        after = None if nxt is None else (nxt.a, nxt.b, nxt.c)
+        gs = None
+        if fn is not None:
+            gs = [float(fn(x)) for x in segment_xs(seg.lo, seg.hi, knot=nxt is not None)]
+        yield segment_text(i, (seg.lo, seg.hi, seg.a, seg.b, seg.c), after, gs).encode()
 
 
-def _start_helper(pw: PiecewisePoly, fn, run: tuple[int, int], part):
-    """Start an interpreter that formats ``run`` into ``part``; None when
-    it cannot be started.  The run's reference values are computed here
-    first, a segment at a time, so an error in them is raised before the
-    helper starts."""
-    heads = [_segment_head(pw, i) for i in range(*run)]
-    references = None if fn is None else (_reference_values(fn, head) for head in heads)
-    with tempfile.TemporaryFile() as segments:
-        _plotrows.write_input(segments, heads, references)
-        segments.seek(0)
+def _fork_run(part, pw: PiecewisePoly, fn, run: tuple[int, int]) -> Optional[int]:
+    """Fork a child that formats ``run`` into ``part`` and exits 0; its pid,
+    or None when the fork fails.  The child leaves only through ``os._exit``,
+    so no exception, exit handler or inherited file buffer escapes it."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        status = 1
         try:
-            return subprocess.Popen([sys.executable, "-I", "-S", str(_HELPER)],
-                                    stdin=segments, stdout=part, stderr=subprocess.DEVNULL)
-        except OSError:
-            return None
+            part.writelines(_plot_chunks(pw, fn, run))
+            part.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
 
 
 def _write_runs(out, pw: PiecewisePoly, fn, runs: list[tuple[int, int]]) -> None:
-    """Write the first run here while helper processes format the others
+    """Write the first run here while forked children format the others
     into anonymous temporary files, then append those in order.  A run
-    whose helper failed is written here."""
+    whose child failed, or could not be forked, is written here; no child
+    outlives this call."""
     parts = [tempfile.TemporaryFile() for _ in runs[1:]]
-    helpers = []
+    pids = []
     try:
         for part, run in zip(parts, runs[1:]):
-            helpers.append(_start_helper(pw, fn, run, part))
+            pids.append(_fork_run(part, pw, fn, run))
         out.writelines(_plot_chunks(pw, fn, runs[0]))
-        for part, run, helper in zip(parts, runs[1:], helpers):
-            if helper is not None and helper.wait() == 0:
+        for k, (part, run) in enumerate(zip(parts, runs[1:])):
+            done = pids[k] is not None and os.waitpid(pids[k], 0)[1] == 0
+            pids[k] = None
+            if done:
                 part.seek(0)
                 shutil.copyfileobj(part, out)
             else:
                 out.writelines(_plot_chunks(pw, fn, run))
     finally:
-        for helper in helpers:
-            if helper is not None and helper.returncode is None:
-                helper.kill()
-                helper.wait()
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         for part in parts:
             part.close()
 
@@ -198,23 +239,20 @@ def emit_plot_data(pw: PiecewisePoly, path: PathLike,
     The file is the CSV ``csv.writer`` would write (CRLF line ends; ``repr``
     floats never need quoting).
 
-    The rows are built by ``_plotrows`` from each segment's bounds and
-    coefficients.  A large file is split into contiguous runs of segments,
-    one per usable CPU, each of at least ``PLOT_ROWS_PER_RUN`` dense rows.
-    This process computes the reference column of every run and writes
-    the first run into ``path``; helper interpreters compute x and F of
-    the other runs and format them into anonymous temporary files, which
-    are appended in order.  The bytes are those of a single writer,
-    nothing but ``path`` appears in its directory, and an error from
-    ``ref`` is raised here, as without helpers.  A run whose helper fails
-    is formatted here instead.  The file is written by this process alone
-    on one usable CPU, without ``sys.executable``, or when it holds fewer
-    than two runs' rows.  A failed write raises :class:`WriteError`.
+    A large file is split into contiguous runs of segments, one per usable
+    CPU, each of at least ``PLOT_ROWS_PER_RUN`` dense rows.  This process
+    writes the first run into ``path``; forked children format the other
+    runs, reference column included, into anonymous temporary files, which
+    are appended in order.  The bytes are those of a single writer, nothing
+    but ``path`` appears in its directory, and an error from ``ref`` is
+    raised here, as from one writer: a run whose child fails is formatted
+    here instead.  See :func:`_plot_runs` for when one process writes the
+    whole file.  A failed write raises :class:`WriteError`.
     """
     fn = ref.fn if ref else None
     try:
         with open(path, "wb") as out:
-            out.write(_plotrows.header(fn is not None))
+            out.write(header(fn is not None))
             _write_runs(out, pw, fn, _plot_runs(len(pw.segments)))
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from exc

@@ -142,7 +142,7 @@ class TestApprox:
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     def test_plot_to_stdout_pipe(self, tmp_path):
-        # a plot large enough to be split across helper processes reaches a
+        # a plot large enough to be split across forked children reaches a
         # pipe whole and in order, ahead of the summary lines
         argv = ["approx", "--fn", "cospix", "--from", "0", "--to", "1.5",
                 "--segments", "100", "--mode", "trailing-secant",
@@ -157,6 +157,17 @@ class TestApprox:
         assert piped.stdout.startswith(plot)
         assert piped.stdout[len(plot):].startswith(b"model: 100 segments")
         assert sorted(os.listdir(tmp_path)) == ["plot.csv", "report.json"]
+
+    def test_out_and_plot_to_one_file_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the plot CSV would overwrite the JSON document; a second name for
+        # the same file, through a link or a relative path, is the same file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.txt").symlink_to(tmp_path / "same.txt")
+        for plot in ["same.txt", str(tmp_path / "same.txt"), "./same.txt", "link.txt"]:
+            assert run(["approx", "--fn", "log2", "--from", "8", "--to", "64",
+                        "--segments", "3", "--out", "same.txt", "--plot", plot]) == 2
+            assert "--out and --plot name the same file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["link.txt"]
 
     @pytest.mark.parametrize("flag", ["--out", "--plot"])
     def test_unwritable_output_exit_one(self, tmp_path, capsys, flag):

@@ -1,14 +1,16 @@
 """Round-trip and format-stability tests for the persistence layer."""
 
 import csv
+import errno
 import functools
 import itertools
 import json
 import math
 import os
-import sys
 import tempfile
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qseg import reportio
-from qseg._plotrows import KNOT_MATCH_TOL, PLOT_POINTS_PER_SEGMENT
 from qseg.accuracy import NAMED_REFERENCES, ReferenceFn, accuracy_vs
 from qseg.errors import EvenSeries, NonMonotonicX, ParseError, WriteError
 from qseg.interp import (
@@ -30,6 +31,8 @@ from qseg.interp import (
 from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile
 from qseg.reportio import (
     FORMAT_VERSION,
+    KNOT_MATCH_TOL,
+    PLOT_POINTS_PER_SEGMENT,
     PLOT_ROWS_PER_RUN,
     approx_document,
     dump_document,
@@ -203,21 +206,44 @@ def reference_plot_data(pw, path, ref=None):
 SPLIT_SEGMENTS = 3 * PLOT_ROWS_PER_RUN // PLOT_POINTS_PER_SEGMENT + 1
 
 
+def assert_single_writer_bytes(tmp_path, ref):
+    """A trailing-secant cospix plot of SPLIT_SEGMENTS segments is written
+    with the single writer's bytes."""
+    pw = cospix_model(BlendMode.TRAILING_SECANT, SPLIT_SEGMENTS)
+    emit_plot_data(pw, tmp_path / "plot.csv", ref)
+    reference_plot_data(pw, tmp_path / "reference.csv", ref)
+    assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 @pytest.fixture()
-def helpers(monkeypatch):
+def children(monkeypatch):
     """Fix the usable CPUs at 3, so files split the same on any machine,
-    and record every helper process started."""
+    and record every child forked: its pid, in fork order, maps to its exit
+    code once it is reaped (minus the signal number if it was killed)."""
     monkeypatch.setattr(reportio, "_usable_cpus", lambda: 3)
-    started = []
-    real_start = reportio._start_helper
+    codes = {}
+    real_fork_run, real_waitpid = reportio._fork_run, os.waitpid
 
-    def start(*args):
-        helper = real_start(*args)
-        started.append(helper)
-        return helper
+    def fork_run(*args):
+        pid = real_fork_run(*args)
+        if pid is not None:
+            codes[pid] = None
+        return pid
 
-    monkeypatch.setattr(reportio, "_start_helper", start)
-    return started
+    def waitpid(pid, options):
+        reaped, status = real_waitpid(pid, options)
+        if reaped in codes:
+            codes[reaped] = os.waitstatus_to_exitcode(status)
+        return reaped, status
+
+    monkeypatch.setattr(reportio, "_fork_run", fork_run)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return codes
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child left, running or unreaped
 
 
 def cospix_model(mode, segments):
@@ -237,15 +263,16 @@ class TestPlotBytes:
     @pytest.mark.parametrize("with_ref", [False, True])
     @pytest.mark.parametrize("segments", [1, 3, 129, SPLIT_SEGMENTS])
     @pytest.mark.parametrize("mode", list(BlendMode))
-    def test_matches_reference_writer(self, tmp_path, helpers, mode, segments, with_ref):
+    def test_matches_reference_writer(self, tmp_path, children, mode, segments, with_ref):
         ref = NAMED_REFERENCES["cospix"] if with_ref else None
         pw = cospix_model(mode, segments)
         emit_plot_data(pw, tmp_path / "plot.csv", ref)
         reference_plot_data(pw, tmp_path / "reference.csv", ref)
         assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         runs = min(3, segments * PLOT_POINTS_PER_SEGMENT // PLOT_ROWS_PER_RUN)
-        # every helper formatted its run: none fell back to this process
-        assert [helper.returncode for helper in helpers] == [0] * max(0, runs - 1)
+        # every child formatted its run: none fell back to this process
+        assert list(children.values()) == [0] * max(0, runs - 1)
+        assert_no_child_left()
         assert sorted(os.listdir(tmp_path)) == ["plot.csv", "reference.csv"]
 
     @pytest.mark.parametrize("with_ref", [False, True])
@@ -261,7 +288,7 @@ class TestPlotBytes:
         assert written.count(b",1\r\n") == 2 * (len(pw.segments) - 1)
 
     @pytest.mark.parametrize("with_ref", [False, True])
-    def test_jumping_knots_on_the_split_match_reference_writer(self, tmp_path, helpers,
+    def test_jumping_knots_on_the_split_match_reference_writer(self, tmp_path, children,
                                                                monkeypatch, with_ref):
         # on two CPUs the model splits into two runs at its middle knot,
         # whose two rows end the first run
@@ -276,34 +303,77 @@ class TestPlotBytes:
         written = (tmp_path / "plot.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert written.count(b",1\r\n") == 2 * (segments - 1)
-        assert [helper.returncode for helper in helpers] == [0]
+        assert list(children.values()) == [0]
 
-    def test_fallbacks_write_the_same_bytes(self, tmp_path, helpers, monkeypatch):
+    def test_fallbacks_write_the_same_bytes(self, tmp_path, children, monkeypatch):
         pw = cospix_model(BlendMode.TRAILING_SECANT, SPLIT_SEGMENTS)
         ref = NAMED_REFERENCES["cospix"]
         emit_plot_data(pw, tmp_path / "split.csv", ref)
-        assert [helper.returncode for helper in helpers] == [0, 0]
-        # helpers that fail: this process formats their runs
-        monkeypatch.setattr(reportio, "_HELPER", tmp_path / "absent.py")
-        emit_plot_data(pw, tmp_path / "failed.csv", ref)
-        assert [helper.returncode for helper in helpers[2:]] == [2, 2]
-        # one usable CPU, or no interpreter to start: no helper at all
+        assert list(children.values()) == [0, 0]
+        # one usable CPU: no child at all
         monkeypatch.setattr(reportio, "_usable_cpus", lambda: 1)
         emit_plot_data(pw, tmp_path / "one-cpu.csv", ref)
-        monkeypatch.setattr(reportio, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(sys, "executable", "")
-        emit_plot_data(pw, tmp_path / "no-interpreter.csv", ref)
-        assert len(helpers) == 4
-        split = (tmp_path / "split.csv").read_bytes()
-        for name in ("failed.csv", "one-cpu.csv", "no-interpreter.csv"):
-            assert (tmp_path / name).read_bytes() == split
+        assert len(children) == 2
+        assert (tmp_path / "one-cpu.csv").read_bytes() == (tmp_path / "split.csv").read_bytes()
+
+    def test_failed_children_leave_their_runs_to_this_process(self, tmp_path, children):
+        # the reference raises in the children alone, so each exits 1 and
+        # this process formats its run
+        test_pid = os.getpid()
+
+        def cospix_here(x):
+            if os.getpid() != test_pid:
+                raise RuntimeError("not in the test's process")
+            return math.cos(math.pi * x)
+
+        assert_single_writer_bytes(tmp_path, ReferenceFn("cospix-here", cospix_here))
+        assert list(children.values()) == [1, 1]
+        assert_no_child_left()
+
+    def test_fork_error_leaves_the_runs_to_this_process(self, tmp_path, children, monkeypatch):
+        def fork():
+            raise OSError(errno.EAGAIN, "no process slots")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert_single_writer_bytes(tmp_path, NAMED_REFERENCES["cospix"])
+        assert children == {}
+
+    def test_no_fork_writes_one_run(self, tmp_path, children, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert reportio._plot_runs(SPLIT_SEGMENTS) == [(0, SPLIT_SEGMENTS)]
+        assert_single_writer_bytes(tmp_path, NAMED_REFERENCES["cospix"])
+        assert children == {}
+
+    def test_other_thread_writes_one_run(self, tmp_path, children):
+        # a fork beside a thread that holds a lock can deadlock the child
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert reportio._plot_runs(SPLIT_SEGMENTS) == [(0, SPLIT_SEGMENTS)]
+            assert_single_writer_bytes(tmp_path, NAMED_REFERENCES["cospix"])
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert children == {}
+
+    def test_split_forks_without_a_warning(self, tmp_path, children):
+        # from Python 3.12, fork() beside another OS thread warns that the
+        # child may deadlock; a warning turned into an error may be cleared
+        # inside fork(), so every warning is recorded instead
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert_single_writer_bytes(tmp_path, NAMED_REFERENCES["cospix"])
+        assert [str(w.message) for w in caught] == []
+        assert list(children.values()) == [0, 0]
 
     @pytest.mark.parametrize("cpus, failing", [(1, 0.6), (3, 0.6), (3, 0.2)])
-    def test_reference_error_as_from_one_writer(self, tmp_path, helpers, monkeypatch,
+    def test_reference_error_as_from_one_writer(self, tmp_path, children, monkeypatch,
                                                 cpus, failing):
         # the reference fails in one third of the domain: the middle run,
-        # which a helper would format, or the first, which this process
-        # formats while the helpers run
+        # whose child fails so that this process formats it again, or the
+        # first, which this process formats while the children run
         monkeypatch.setattr(reportio, "_usable_cpus", lambda: cpus)
         pw = cospix_model(BlendMode.ENDPOINT_SECANT, SPLIT_SEGMENTS)
         if cpus == 3:
@@ -317,14 +387,13 @@ class TestPlotBytes:
 
         with pytest.raises(ZeroDivisionError, match="no value at"):
             emit_plot_data(pw, tmp_path / "plot.csv", ReferenceFn("fragile", fragile))
-        assert len(helpers) == (2 if failing < 0.5 and cpus == 3 else 0)
-        assert all(helper.returncode is not None for helper in helpers)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)  # no child left, running or unreaped
+        assert len(children) == (2 if cpus == 3 else 0)
+        assert None not in children.values()
+        assert_no_child_left()
         assert os.listdir(tmp_path) == ["plot.csv"]
 
-    def test_extreme_reference_values_on_the_split(self, tmp_path, helpers):
-        # helpers receive G as raw doubles: a signed zero, the least
+    def test_extreme_reference_values_on_the_split(self, tmp_path, children):
+        # children format G as this process does: a signed zero, the least
         # subnormal and a value near the largest float keep their repr
         extremes = (-0.0, 5e-324, 1.7e308)
         ref = ReferenceFn("extremes", lambda x: extremes[hash(x) % 3])
@@ -334,7 +403,7 @@ class TestPlotBytes:
         written = (tmp_path / "plot.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert all(f",{value!r},".encode() in written for value in extremes)
-        assert [helper.returncode for helper in helpers] == [0, 0]
+        assert list(children.values()) == [0, 0]
 
 
 def traced_peak(write) -> int:
@@ -352,12 +421,12 @@ class TestWriterMemory:
     time, so their memory does not grow with plot rows."""
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_plot_peak_is_bounded(self, tmp_path, helpers, monkeypatch, cpus):
+    def test_plot_peak_is_bounded(self, tmp_path, children, monkeypatch, cpus):
         monkeypatch.setattr(reportio, "_usable_cpus", lambda: cpus)
         pw = cospix_model(BlendMode.TRAILING_SECANT, 1200)
         peak = traced_peak(lambda: emit_plot_data(pw, tmp_path / "plot.csv",
                                                   NAMED_REFERENCES["cospix"]))
-        assert [helper.returncode for helper in helpers] == [0] * (cpus - 1)
+        assert list(children.values()) == [0] * (cpus - 1)
         assert peak < 512 * 1024
 
     def test_dump_peak_under_one_and_a_half_times_the_file(self, tmp_path):
@@ -410,7 +479,7 @@ class TestPlotRowsProperty:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(plotted_models(), st.sampled_from([1, 3]))
     def test_matches_reference_writer(self, case, cpus):
-        # on three CPUs, runs as short as one segment go to helpers
+        # on three CPUs, runs as short as one segment go to children
         pw, ref = case
         with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
             patch.setattr(reportio, "_usable_cpus", lambda: cpus)
