@@ -92,12 +92,12 @@ def read_series(path: PathLike) -> SampleSeries:
 
 # --- plot data ------------------------------------------------------------
 #
-# Segment ``(lo, hi, a, b, c)`` has ``PLOT_POINTS_PER_SEGMENT`` dense rows at
-# x = lo + (hi - lo) * j / (PLOT_POINTS_PER_SEGMENT - 1), with F =
-# (a*x + b)*x + c in ``QuadraticSegment.value``'s operation order.  All but
-# the last segment end in a knot row at hi, and in a second, flagged as the
-# next segment, where the next segment's F differs by more than
-# ``KNOT_MATCH_TOL`` (relative).  A reference adds G at each row's x.
+# Each segment has ``PLOT_POINTS_PER_SEGMENT`` dense rows at x = lo + (hi -
+# lo) * j / (PLOT_POINTS_PER_SEGMENT - 1), with F from
+# ``QuadraticSegment.value``.  All but the last segment end in a knot row at
+# hi, and in a second, flagged as the next segment, where the next segment's
+# F differs by more than ``KNOT_MATCH_TOL`` (relative).  A reference adds G
+# at each row's x.
 
 #: Dense evaluation points per segment.
 PLOT_POINTS_PER_SEGMENT = 200
@@ -109,45 +109,17 @@ KNOT_MATCH_TOL = 1e-9
 _STEPS = [float(j) for j in range(PLOT_POINTS_PER_SEGMENT)]
 
 #: Least dense rows in each run a plot file is split into, one run per usable
-#: CPU.  Measured on a 2-core Xeon at 2.1 GHz: forking a child of a process
-#: that holds a 1000-segment model, its exit and its reaping take 3-4 ms, and
-#: a row takes 1.5us to format (2.5us with the reference column).  A child's
-#: run of 10,000 rows spares this process 15-25ms of formatting, several
-#: times the fork's cost; on two CPUs the split starts at 20,000 rows (100
-#: segments).
+#: CPU.  Measured on a shared 2-core Xeon at 2.1 GHz: forking a child of a
+#: process that holds a 1000-segment model, its exit and its reaping take
+#: 4-5 ms, and a row takes 1.5-3us of CPU to format (2.5-4.5us with the
+#: reference column), as the machine's load varies.  A child's run of 10,000
+#: rows spares this process 15-45ms of formatting, several times the fork's
+#: cost; on two CPUs the split starts at 20,000 rows (100 segments).
 PLOT_ROWS_PER_RUN = 10_000
 
 
 def header(with_reference: bool) -> bytes:
     return ("x,F," + ("G," if with_reference else "") + "segment_index,is_knot\r\n").encode()
-
-
-def segment_xs(lo: float, hi: float, knot: bool) -> list:
-    """The x of each dense row of a segment on [lo, hi], then, with a
-    ``knot``, hi."""
-    width, last = hi - lo, _STEPS[-1]
-    xs = [lo + width * j / last for j in _STEPS]
-    return xs + [hi] if knot else xs
-
-
-def segment_text(index: int, seg: tuple, after, gs) -> str:
-    """Rows of segment ``index``, ``seg`` being its (lo, hi, a, b, c) and
-    ``after`` the next segment's (a, b, c), or None for the last.  ``gs``
-    holds G at ``segment_xs``, or is None without a reference."""
-    lo, hi, a, b, c = seg
-    xs = segment_xs(lo, hi, knot=False)
-    tail = f",{index},0\r\n"
-    if gs is None:
-        lines = [f"{x!r},{(a * x + b) * x + c!r}{tail}" for x in xs]
-    else:
-        lines = [f"{x!r},{(a * x + b) * x + c!r},{g!r}{tail}" for x, g in zip(xs, gs)]
-    if after is not None:
-        g = "" if gs is None else f",{gs[-1]!r}"
-        left, right = [(p * hi + q) * hi + r for p, q, r in ((a, b, c), after)]
-        lines.append(f"{hi!r},{left!r}{g},{index},1\r\n")
-        if abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left)):
-            lines.append(f"{hi!r},{right!r}{g},{index + 1},1\r\n")
-    return "".join(lines)
 
 
 def _usable_cpus() -> int:
@@ -172,15 +144,23 @@ def _plot_runs(segment_count: int) -> list[tuple[int, int]]:
 
 def _plot_chunks(pw: PiecewisePoly, fn, run: tuple[int, int]):
     """The CSV bytes of a run, one chunk per segment."""
-    segments = pw.segments
+    segments, last = pw.segments, _STEPS[-1]
     for i in range(*run):
         seg = segments[i]
-        nxt = segments[i + 1] if i + 1 < len(segments) else None
-        after = None if nxt is None else (nxt.a, nxt.b, nxt.c)
-        gs = None
-        if fn is not None:
-            gs = [float(fn(x)) for x in segment_xs(seg.lo, seg.hi, knot=nxt is not None)]
-        yield segment_text(i, (seg.lo, seg.hi, seg.a, seg.b, seg.c), after, gs).encode()
+        lo, hi, width, value = seg.lo, seg.hi, seg.hi - seg.lo, seg.value
+        xs = [lo + width * j / last for j in _STEPS]
+        tail = f",{i},0\r\n"
+        if fn is None:
+            lines = [f"{x!r},{value(x)!r}{tail}" for x in xs]
+        else:
+            lines = [f"{x!r},{value(x)!r},{float(fn(x))!r}{tail}" for x in xs]
+        if i + 1 < len(segments):
+            g = "" if fn is None else f",{float(fn(hi))!r}"
+            left, right = value(hi), segments[i + 1].value(hi)
+            lines.append(f"{hi!r},{left!r}{g},{i},1\r\n")
+            if abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left)):
+                lines.append(f"{hi!r},{right!r}{g},{i + 1},1\r\n")
+        yield "".join(lines).encode()
 
 
 def _fork_run(part, pw: PiecewisePoly, fn, run: tuple[int, int]) -> Optional[int]:

@@ -405,6 +405,42 @@ class TestPlotBytes:
         assert all(f",{value!r},".encode() in written for value in extremes)
         assert list(children.values()) == [0, 0]
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("ref", [ReferenceFn("floor", math.floor),
+                                     ReferenceFn("np-log2", np.log2)])
+    def test_non_float_references(self, tmp_path, children, monkeypatch, cpus, ref):
+        # G is written as a float: an int and a numpy float keep a float's
+        # repr (under numpy 2, a bare repr of np.log2(8.0) is
+        # "np.float64(3.0)"); this process calls the reference at each row of
+        # its own run, once at a knot that is written twice, in row order
+        monkeypatch.setattr(reportio, "_usable_cpus", lambda: cpus)
+        pw = build_piecewise(
+            sample_function(lambda x: x ** 3,
+                            nodes_from_bounds(np.linspace(1.0, 9.0, SPLIT_SEGMENTS + 1))),
+            BlendMode.TRAILING_SECANT,
+        )
+        calls = []
+
+        def recorded(x):
+            calls.append(x)
+            return ref.fn(x)
+
+        emit_plot_data(pw, tmp_path / "plot.csv", ReferenceFn(ref.name, recorded))
+        reference_plot_data(pw, tmp_path / "reference.csv", ref)
+        written = (tmp_path / "plot.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert b"np.float64(" not in written
+        assert list(children.values()) == [0] * (cpus - 1)
+        stop = reportio._plot_runs(SPLIT_SEGMENTS)[0][1]
+        knots = stop - (stop == SPLIT_SEGMENTS)
+        assert len(calls) == PLOT_POINTS_PER_SEGMENT * stop + knots
+        with open(tmp_path / "plot.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        # the second row of a jumping knot follows the first
+        firsts = [r for r, before in zip(rows, [None] + rows)
+                  if not (r["is_knot"] == "1" and before and before["is_knot"] == "1")]
+        assert calls == [float(r["x"]) for r in firsts][:len(calls)]
+
 
 def traced_peak(write) -> int:
     """The most memory traced while ``write()`` runs, in bytes."""
