@@ -21,8 +21,6 @@ import shlex
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import reportio
 from .accuracy import NAMED_REFERENCES, accuracy_vs, validate_profile
 from .classify import (
@@ -33,14 +31,12 @@ from .classify import (
     classify_profile,
 )
 from .errors import GridTooSmall, OutOfDomain, ParseError, QsegError, WriteError
-from .interp import BlendMode, build_piecewise, nodes_from_bounds, sample_function
+from .interp import (SPACINGS, BlendMode, build_piecewise, knot_sides_differ,
+                     nodes_from_bounds, sample_function)
 from .profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
 from .targets import batch_scale
 
 MODE_CHOICES = [m.value for m in BlendMode]
-
-#: One-sided derivatives further apart than this (relative) get a warning.
-KNOT_WARN_TOL = 1e-9
 
 
 def _resolve_seed(flag_value: Optional[int], parser: argparse.ArgumentParser) -> int:
@@ -120,11 +116,9 @@ def _print_report(report: ClassificationReport, heading: str) -> None:
 
 def _segment_bounds(lo: float, hi: float, segments: int, spacing: str,
                     parser: argparse.ArgumentParser) -> list[float]:
-    if spacing == "even":
-        return list(np.linspace(lo, hi, segments + 1))
-    if lo <= 0:
+    if spacing == "geometric" and lo <= 0:
         parser.error("--spacing geometric needs a positive --from")
-    return list(np.geomspace(lo, hi, segments + 1))
+    return list(SPACINGS[spacing](lo, hi, segments + 1))
 
 
 def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
@@ -203,8 +197,7 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--exec needs at least one --grid")
         target = TargetSpec.for_command(args.exec_cmd, list(grids))
 
-    extra = [n for n in grids if n not in target.variable_names]
-    if extra:
+    if extra := [n for n in grids if n not in target.variable_names]:
         parser.error(f"--grid given for unknown variable(s) {extra}")
 
     seed = _resolve_seed(args.seed, parser)
@@ -273,7 +266,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     if args.derivative:
         left, right = pw.derivative_at(args.at)
         print(f"left={left!r} right={right!r}")
-        if abs(left - right) > KNOT_WARN_TOL * max(1.0, abs(left)):
+        if knot_sides_differ(left, right):
             print(
                 f"warning: one-sided derivatives differ at x={args.at}; "
                 "the model is not differentiable at segment boundaries",
@@ -307,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--from", dest="from_", type=_finite_float, help="domain start")
     p_approx.add_argument("--to", type=_finite_float, help="domain end")
     p_approx.add_argument("--segments", type=int, help="segment count")
-    p_approx.add_argument("--spacing", choices=["even", "geometric"],
+    p_approx.add_argument("--spacing", choices=list(SPACINGS),
                           help="segment bound layout for --fn (default even)")
     p_approx.add_argument("--mode", choices=MODE_CHOICES,
                           default=BlendMode.ENDPOINT_SECANT.value)
@@ -322,8 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--grid", action="append", type=_grid_flag, metavar="VAR=lo:hi:n",
                            help="odd-count integer grid for one variable (repeatable); "
                            "a builtin target's own grid for any variable not given")
-    p_profile.add_argument("--reps", type=int, default=5, help="timed repetitions per point")
-    p_profile.add_argument("--warmups", type=int, default=1, help="untimed warmup runs")
+    p_profile.add_argument("--reps", type=int, default=MeasureConfig.repetitions,
+                           help="timed repetitions per point")
+    p_profile.add_argument("--warmups", type=int, default=MeasureConfig.warmup_runs,
+                           help="untimed warmup runs")
     p_profile.add_argument("--seed", type=int, default=None,
                            help="input-data seed (default: QSEG_SEED or 0)")
     p_profile.add_argument("--mode", choices=MODE_CHOICES,

@@ -43,6 +43,17 @@ LINEAR_TOL = 1e-12
 #: Node cap for dense interpolation; conditioning degrades quickly above this.
 MAX_GENERAL_NODES = 12
 
+#: Point layouts between two bounds, by the names ``approx --spacing`` takes.
+SPACINGS = {"even": np.linspace, "geometric": np.geomspace}
+
+#: The two sides of a knot agree unless further apart than this (relative).
+KNOT_MATCH_TOL = 1e-9
+
+
+def knot_sides_differ(left: float, right: float) -> bool:
+    """Whether a knot's left and right values (or slopes) disagree."""
+    return abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left))
+
 
 class BlendMode(enum.Enum):
     """How a segment's parabola is combined with a secant line."""

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import GridTooSmall, InsufficientArity, TargetFailure
-from .interp import BlendMode, PiecewisePoly, SampleSeries, build_piecewise
+from .interp import SPACINGS, BlendMode, PiecewisePoly, SampleSeries, build_piecewise
 from .targets import BUILTIN_TARGETS, ArgSpec, BuiltinTarget, effective_clock_tick
 
 log = logging.getLogger(__name__)
@@ -110,21 +110,9 @@ class TargetSpec:
     def variable_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.variables)
 
-    def arg_spec(self, name: str) -> ArgSpec:
-        for spec in self.variables:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
-
     def default_grids(self) -> dict[str, list[int]]:
-        out = {}
-        for spec in self.variables:
-            lo, hi = spec.default_grid
-            if spec.grid_scale == "geometric":
-                out[spec.name] = geometric_grid(lo, hi, DEFAULT_GRID_POINTS)
-            else:
-                out[spec.name] = integer_grid(lo, hi, DEFAULT_GRID_POINTS)
-        return out
+        return {spec.name: integer_grid(*spec.default_grid, DEFAULT_GRID_POINTS, spec.spacing)
+                for spec in self.variables}
 
 
 _AGGREGATORS: dict[str, Callable[[list[float]], float]] = {
@@ -221,22 +209,14 @@ def _checked_grid(grid: Sequence[int], name: str) -> list[int]:
     return grid
 
 
-def integer_grid(lo: int, hi: int, points: int) -> list[int]:
-    """``points`` evenly spaced integers from lo to hi inclusive."""
-    if points > hi - lo + 1:  # rejected before a grid of that size is allocated
-        raise GridTooSmall(f"grid {lo}:{hi}:{points} has more points than integers in {lo}..{hi}")
-    return _checked_grid(np.rint(np.linspace(lo, hi, max(points, 0))), f"grid {lo}:{hi}:{points}")
-
-
-def geometric_grid(lo: int, hi: int, points: int) -> list[int]:
-    """``points`` geometrically spaced integers from lo to hi inclusive."""
-    if lo <= 0:
+def integer_grid(lo: int, hi: int, points: int, spacing: str = "even") -> list[int]:
+    """``points`` integers from lo to hi inclusive, spaced as ``SPACINGS[spacing]``."""
+    name = ("" if spacing == "even" else f"{spacing} ") + f"grid {lo}:{hi}:{points}"
+    if spacing == "geometric" and lo <= 0:
         raise GridTooSmall("geometric grids need a positive lower bound")
-    if points > hi - lo + 1:
-        raise GridTooSmall(f"geometric grid {lo}:{hi}:{points} has more points than integers "
-                           f"in {lo}..{hi}")
-    return _checked_grid(np.rint(np.geomspace(lo, hi, max(points, 0))),
-                        f"geometric grid {lo}:{hi}:{points}")
+    if points > hi - lo + 1:  # rejected before a grid of that size is allocated
+        raise GridTooSmall(f"{name} has more points than integers in {lo}..{hi}")
+    return _checked_grid(np.rint(SPACINGS[spacing](lo, hi, max(points, 0))), name)
 
 
 def _seed_material(cfg: MeasureConfig, args: dict[str, int], rep: int) -> list[int]:
@@ -444,18 +424,15 @@ def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
     pair from its probe sweeps.
     """
     names = target.variable_names
-    missing = [n for n in names if n not in grids]
-    if missing:
+    if missing := [n for n in names if n not in grids]:
         raise GridTooSmall(f"no grid declared for {missing}")
     grids = {n: _checked_grid(grids[n], f"grid for {n}") for n in names}
     first_pins = {}
-    for name in names:
-        spec = target.arg_spec(name)
-        if grids[name][0] < spec.min_value:
-            raise GridTooSmall(
-                f"grid for {name} starts below its validity floor {spec.min_value}"
-            )
-        first_pins[name] = 0 if spec.min_value <= 0 else grids[name][0]
+    for spec in target.variables:
+        start, floor = grids[spec.name][0], spec.min_value
+        if start < floor:
+            raise GridTooSmall(f"grid for {spec.name} starts below its validity floor {floor}")
+        first_pins[spec.name] = 0 if floor <= 0 else start
 
     def sweep(name: str, pins: dict[str, int]) -> SweepResult:
         others = {n: v for n, v in pins.items() if n != name}

@@ -29,6 +29,7 @@ from .interp import (
     QuadraticSegment,
     SamplePoint,
     SampleSeries,
+    knot_sides_differ,
 )
 from .profiler import (
     InteractionLabel,
@@ -96,14 +97,11 @@ def read_series(path: PathLike) -> SampleSeries:
 # lo) * j / (PLOT_POINTS_PER_SEGMENT - 1), with F from
 # ``QuadraticSegment.value``.  All but the last segment end in a knot row at
 # hi, and in a second, flagged as the next segment, where the next segment's
-# F differs by more than ``KNOT_MATCH_TOL`` (relative).  A reference adds G
-# at each row's x.
+# F differs by ``interp.knot_sides_differ``.  A reference adds G at each
+# row's x.
 
 #: Dense evaluation points per segment.
 PLOT_POINTS_PER_SEGMENT = 200
-
-#: Knot values closer than this (relative) collapse to a single row.
-KNOT_MATCH_TOL = 1e-9
 
 #: Each dense row's j as a float, which multiplies faster and rounds the same.
 _STEPS = [float(j) for j in range(PLOT_POINTS_PER_SEGMENT)]
@@ -158,7 +156,7 @@ def _plot_chunks(pw: PiecewisePoly, fn, run: tuple[int, int]):
             g = "" if fn is None else f",{float(fn(hi))!r}"
             left, right = value(hi), segments[i + 1].value(hi)
             lines.append(f"{hi!r},{left!r}{g},{i},1\r\n")
-            if abs(left - right) > KNOT_MATCH_TOL * max(1.0, abs(left)):
+            if knot_sides_differ(left, right):
                 lines.append(f"{hi!r},{right!r}{g},{i + 1},1\r\n")
         yield "".join(lines).encode()
 

@@ -73,14 +73,14 @@ def sqrt_depth(n: int) -> int:
 class ArgSpec:
     """One swept integer argument: its validity floor and default grid.
 
-    ``grid_scale`` picks how default grid points spread between the bounds;
-    geometric spacing suits variables whose cost grows logarithmically.
+    ``spacing``, a name in ``interp.SPACINGS``, spreads the default grid's
+    points; geometric spacing suits variables whose cost grows logarithmically.
     """
 
     name: str
     min_value: int = 0
     default_grid: tuple[int, int] = (16, 1024)
-    grid_scale: str = "linear"  # "linear" | "geometric"
+    spacing: str = "even"
 
 
 #: Clock step from which batches stay at their full size.  Merge-sort at
@@ -232,21 +232,21 @@ def _custom_run(payload: tuple) -> float:
 BUILTIN_TARGETS: dict[str, BuiltinTarget] = {
     "binary-search": BuiltinTarget(
         "binary-search",
-        (ArgSpec("x", min_value=0, default_grid=(64, 65536), grid_scale="geometric"),),
+        (ArgSpec("x", min_value=0, default_grid=(64, 65536), spacing="geometric"),),
         _binary_search_setup,
         _binary_search_run,
     ),
     "merge-sort": BuiltinTarget(
         "merge-sort",
-        (ArgSpec("x", min_value=0, default_grid=(64, 8192), grid_scale="geometric"),),
+        (ArgSpec("x", min_value=0, default_grid=(64, 8192), spacing="geometric"),),
         _merge_sort_setup,
         _merge_sort_run,
     ),
     "search-sort": BuiltinTarget(
         "search-sort",
         (
-            ArgSpec("x", min_value=0, default_grid=(16, 65536), grid_scale="geometric"),
-            ArgSpec("b", min_value=0, default_grid=(4, 4096), grid_scale="geometric"),
+            ArgSpec("x", min_value=0, default_grid=(16, 65536), spacing="geometric"),
+            ArgSpec("b", min_value=0, default_grid=(4, 4096), spacing="geometric"),
         ),
         _search_sort_setup,
         _search_sort_run,
@@ -256,7 +256,7 @@ BUILTIN_TARGETS: dict[str, BuiltinTarget] = {
         (
             ArgSpec("m", min_value=0, default_grid=(2, 14)),
             ArgSpec("x", min_value=0, default_grid=(16, 208)),
-            ArgSpec("b", min_value=2, default_grid=(4, 65536), grid_scale="geometric"),
+            ArgSpec("b", min_value=2, default_grid=(4, 65536), spacing="geometric"),
         ),
         _custom_setup,
         _custom_run,

@@ -30,7 +30,6 @@ from qseg.profiler import (
     TimingSample,
     build_runtime_profile,
     detect_interaction,
-    geometric_grid,
     integer_grid,
     label_pair,
     measure,
@@ -42,6 +41,17 @@ CFG = MeasureConfig(repetitions=3, seed=42)
 
 LOG_GRID = [8, 16, 32, 64, 128, 256, 512]
 LIN_GRID = [1, 8, 16, 32, 64, 128, 256]
+
+#: Every builtin's default grids, by value.
+PINNED_DEFAULT_GRIDS = {
+    "binary-search": {"x": [64, 203, 645, 2048, 6502, 20643, 65536]},
+    "merge-sort": {"x": [64, 144, 323, 724, 1625, 3649, 8192]},
+    "search-sort": {"x": [16, 64, 256, 1024, 4096, 16384, 65536],
+                    "b": [4, 13, 40, 128, 406, 1290, 4096]},
+    "custom": {"m": [2, 4, 6, 8, 10, 12, 14],
+               "x": [16, 48, 80, 112, 144, 176, 208],
+               "b": [4, 20, 102, 512, 2580, 13004, 65536]},
+}
 
 #: Synthetic targets of every pair kind, with their grids: (fn, variables,
 #: validity floors, grids).
@@ -529,15 +539,50 @@ class TestDefaultGrids:
                 assert grid[0] >= spec.min_value
 
 
-    @pytest.mark.parametrize("build", [integer_grid, geometric_grid])
+    @pytest.mark.parametrize("name, grids", PINNED_DEFAULT_GRIDS.items(),
+                             ids=list(PINNED_DEFAULT_GRIDS))
+    def test_pinned_values(self, name, grids):
+        # criterion 8 and the benchmark measure at these grids
+        assert TargetSpec.for_builtin(name).default_grids() == grids
+
+    @pytest.mark.parametrize("spacing", ["even", "geometric"],
+                             ids=["integer_grid", "geometric_grid"])
     @pytest.mark.parametrize("lo, hi, points", [
         (1, 100, 4), (1, 100, 1), (1, 100, -3),  # even, short, negative counts
         (100, 1, 5), (5, 5, 3), (1, 3, 7),  # decreasing, flat, collapsed by rounding
         (1, 5, 1_000_000_000_001),  # rejected before 8 TB of grid is allocated
     ])
-    def test_builders_reject_what_a_sweep_rejects(self, build, lo, hi, points):
+    def test_builders_reject_what_a_sweep_rejects(self, spacing, lo, hi, points):
         with pytest.raises(GridTooSmall):
-            build(lo, hi, points)
+            integer_grid(lo, hi, points, spacing)
+
+    @pytest.mark.parametrize("spacing, lo, message", [
+        ("even", 0, "grid 0:10:99 has more points than integers in 0..10"),
+        ("geometric", 1, "geometric grid 1:10:99 has more points than integers in 1..10"),
+        ("geometric", 0, "geometric grids need a positive lower bound"),
+    ])
+    def test_builder_messages(self, spacing, lo, message):
+        with pytest.raises(GridTooSmall) as exc:
+            integer_grid(lo, 10, 99, spacing)
+        assert str(exc.value) == message
+
+
+class TestBuiltinTargets:
+    """Each builtin's setup and run, untimed."""
+
+    @pytest.mark.parametrize("name", sorted(targets.BUILTIN_TARGETS))
+    def test_seeded_setup_then_one_run(self, monkeypatch, name):
+        monkeypatch.setattr(targets, "_effective_tick", 1e-6)  # 1/8 batches
+        builtin = targets.BUILTIN_TARGETS[name]
+        args = {n: grid[0] for n, grid in PINNED_DEFAULT_GRIDS[name].items()}
+        payloads = [builtin.setup(args, np.random.default_rng(
+            profiler._seed_material(CFG, args, 0))) for _ in range(2)]
+        assert payloads[0] == payloads[1]
+        assert isinstance(builtin.run(payloads[0]), (int, float))
+
+    @pytest.mark.parametrize("n, depth", [(1, 0), (2, 1), (4, 2), (16, 3), (65536, 5)])
+    def test_sqrt_depth(self, n, depth):
+        assert targets.sqrt_depth(n) == depth
 
 
 class TestBatchScale:

@@ -22,6 +22,7 @@ from qseg import reportio
 from qseg.accuracy import NAMED_REFERENCES, ReferenceFn, accuracy_vs
 from qseg.errors import EvenSeries, NonMonotonicX, ParseError, WriteError
 from qseg.interp import (
+    KNOT_MATCH_TOL,
     BlendMode,
     SampleSeries,
     build_piecewise,
@@ -31,7 +32,6 @@ from qseg.interp import (
 from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile
 from qseg.reportio import (
     FORMAT_VERSION,
-    KNOT_MATCH_TOL,
     PLOT_POINTS_PER_SEGMENT,
     PLOT_ROWS_PER_RUN,
     approx_document,
@@ -94,6 +94,12 @@ class TestSeriesCsv:
         with pytest.raises(ParseError):
             read_series(tmp_path / "absent.csv")
 
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("x,y\n1,1\n\n2,4\n   \n3,9\n")
+        series = read_series(path)
+        assert [(p.x, p.y) for p in series] == [(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)]
+
     @pytest.mark.parametrize("content", [
         b"x,y\n1,1\n\xff\xfe,2\n",  # not UTF-8
         b"x,y\n1," + b"9" * (128 * 1024 + 1) + b"\n",  # over csv's field limit
@@ -148,6 +154,11 @@ class TestPlotData:
         assert all("G" in r for r in rows)
         # continuity-preserving mode: single row per knot
         assert sorted(float(r["x"]) for r in knots) == [16.0, 32.0]
+
+    def test_directory_path_raises_write_error(self, tmp_path):
+        with pytest.raises(WriteError) as exc:
+            emit_plot_data(log2_model(), tmp_path)
+        assert str(exc.value).startswith(f"cannot write {tmp_path}: ")
 
     def test_no_reference_column_without_ref(self, tmp_path):
         path = tmp_path / "plot.csv"
@@ -569,6 +580,18 @@ class TestDocuments:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_document(path)
+
+    def test_malformed_version(self, tmp_path):
+        path = tmp_path / "badver.json"
+        path.write_text(json.dumps({"format_version": "x.1"}))
+        with pytest.raises(ParseError, match="malformed format_version 'x.1'"):
+            load_document(path)
+
+    def test_dump_to_directory_raises_write_error(self, tmp_path):
+        doc = approx_document(log2_model(), {"variable": "x"})
+        with pytest.raises(WriteError) as exc:
+            dump_document(doc, tmp_path)
+        assert str(exc.value).startswith(f"cannot write {tmp_path}: ")
 
     def test_missing_version(self, tmp_path):
         path = tmp_path / "nover.json"
