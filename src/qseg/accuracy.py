@@ -153,12 +153,12 @@ def accuracy_vs(pw: PiecewisePoly, ref: ReferenceFn) -> AccuracyReport:
         raise ZeroIntegral(
             f"aggregate integrals too small (reference {total_ref}, model {total_model})"
         )
-    if total_ref * total_model < 0.0:
+    ratio = _reciprocal_ratio(total_ref, total_model)
+    if ratio is None:
         raise SignMismatch(
             f"aggregate integrals differ in sign (reference {total_ref}, model {total_model})"
         )
-    small, large = sorted((abs(total_ref), abs(total_model)))
-    return AccuracyReport(tuple(rows), small / large)
+    return AccuracyReport(tuple(rows), ratio)
 
 
 def validate_profile(pw: PiecewisePoly, samples: SampleSeries) -> float:

@@ -21,16 +21,6 @@ from .interp import SampleSeries
 _EPS = 1e-12
 
 
-def _log2(n: float) -> float:
-    return math.log2(n) if n > 0 else math.inf
-
-
-def _loglog2(n: float) -> float:
-    if n <= 1:
-        return math.inf
-    return math.log2(math.log2(n))
-
-
 def _exp2(n: float) -> float:
     # capped low enough that the fit's squared sums stay finite too; points
     # past the cap report inf and are excluded from that candidate's fit
@@ -41,7 +31,9 @@ def _exp2(n: float) -> float:
 
 @dataclass(frozen=True)
 class CandidateClass:
-    """A named complexity shape g(n), defined for n >= 2."""
+    """A named complexity shape g(n), defined for n >= 2 and wherever else
+    g returns a finite value: :func:`fit_class` leaves out each point where
+    g raises or is not finite (log at 0, loglog at 1, 2**n past 500)."""
 
     name: str
     fn: Callable[[float], float]
@@ -52,13 +44,13 @@ class CandidateClass:
 
 DEFAULT_CANDIDATES: tuple[CandidateClass, ...] = (
     CandidateClass("const", lambda n: 1.0),
-    CandidateClass("log", _log2),
+    CandidateClass("log", math.log2),
     CandidateClass("sqrt", math.sqrt),
     CandidateClass("linear", float),
-    CandidateClass("nlogn", lambda n: n * _log2(n)),
+    CandidateClass("nlogn", lambda n: n * math.log2(n)),
     CandidateClass("quadratic", lambda n: n * n),
     CandidateClass("exp", _exp2),
-    CandidateClass("loglog", _loglog2),
+    CandidateClass("loglog", lambda n: math.log2(math.log2(n))),
 )
 
 CANDIDATES_BY_NAME: dict[str, CandidateClass] = {c.name: c for c in DEFAULT_CANDIDATES}
@@ -132,10 +124,10 @@ def fit_class(series: SampleSeries, candidate: CandidateClass) -> CandidateFit:
     g_mean = float(np.mean(g))
     y_mean = float(np.mean(yu))
     sgg = float(np.sum((g - g_mean) ** 2))
-    if sgg <= _EPS * max(1.0, g_mean * g_mean) and candidate.name != "const":
-        raise DegenerateDesign(f"{candidate.name} is constant over the grid")
-    if candidate.name == "const" or sgg == 0.0:
+    if candidate.name == "const":
         k, c = 0.0, y_mean
+    elif sgg <= _EPS * max(1.0, g_mean * g_mean):
+        raise DegenerateDesign(f"{candidate.name} is constant over the grid")
     else:
         k = float(np.sum((g - g_mean) * (yu - y_mean)) / sgg)
         if k < 0.0:
@@ -192,21 +184,13 @@ def compose_summary(order: Sequence[str], winners: dict[str, str],
     multiplied, independent groups are added."""
     if len(order) == 1:
         return winners[order[0]]
-    parent = {v: v for v in order}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in composite_pairs:
-        parent[find(a)] = find(b)
+    groups = [{v} for v in order]
+    for pair in composite_pairs:
+        linked = [g for g in groups if not g.isdisjoint(pair)]
+        groups = [g for g in groups if g.isdisjoint(pair)] + [set().union(*linked)]
     # groups keep the order of their first variable, members their own order
-    groups: dict[str, list[str]] = {}
-    for v in order:
-        groups.setdefault(find(v), []).append(v)
-    return " + ".join(" · ".join(f"{winners[w]}({w})" for w in group) for group in groups.values())
+    groups.sort(key=lambda g: min(map(order.index, g)))
+    return " + ".join(" · ".join(f"{winners[v]}({v})" for v in order if v in g) for g in groups)
 
 
 def classify_profile(profile, candidates: Sequence[CandidateClass] = DEFAULT_CANDIDATES) -> ProfileClassification:
@@ -215,13 +199,11 @@ def classify_profile(profile, candidates: Sequence[CandidateClass] = DEFAULT_CAN
     Fitting uses the measured samples directly (not the piecewise model) to
     avoid stacking approximation error on top of measurement noise.
     """
-    per_variable: dict[str, ClassificationReport] = {}
-    order: list[str] = []
-    for vp in profile.profiles:
-        order.append(vp.variable)
-        per_variable[vp.variable] = classify(vp.sweep.series, candidates)
+    per_variable = {vp.variable: classify(vp.sweep.series, candidates)
+                    for vp in profile.profiles}
     composite_pairs = [
         label.pair for label in profile.interactions if label.label == "composite"
     ]
     winners = {v: report.winner.name for v, report in per_variable.items()}
-    return ProfileClassification(per_variable, compose_summary(order, winners, composite_pairs))
+    return ProfileClassification(per_variable,
+                                 compose_summary(list(per_variable), winners, composite_pairs))

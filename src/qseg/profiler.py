@@ -43,6 +43,11 @@ ADDITIVE_NOISE_FACTOR = 3.0
 #: Points in each variable's default grid.
 DEFAULT_GRID_POINTS = 7
 
+#: The clocks a sample's time can come from: CPU time, wall time where the
+#: platform keeps no CPU time for child processes, or a synthetic target's
+#: value.  Profile documents name them in each sample's ``clock`` field.
+PROCESS_CPU, WALL, SYNTHETIC = CLOCKS = ("process-cpu", "wall", "synthetic")
+
 
 class TimerResolutionWarning(UserWarning):
     """Aggregated time is too close to the clock's resolution."""
@@ -152,7 +157,7 @@ class TimingSample:
     args: dict[str, int]
     cpu_seconds: float
     dispersion: float
-    clock: str = "process-cpu"
+    clock: str = PROCESS_CPU
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,7 @@ def _runner(target: TargetSpec,
             except Exception as exc:
                 raise TargetFailure(f"builtin {target.name} raised: {exc}") from exc
 
-        return "process-cpu", run_builtin
+        return PROCESS_CPU, run_builtin
 
     if target.kind is TargetKind.EXTERNAL:
         assert target.command is not None
@@ -260,9 +265,9 @@ def _runner(target: TargetSpec,
                 ru = resource.getrusage(resource.RUSAGE_CHILDREN)
                 return ru.ru_utime + ru.ru_stime
 
-            clock = "process-cpu"
+            clock = PROCESS_CPU
         except ImportError:  # pragma: no cover - non-Unix fallback
-            child_cpu, clock = time.perf_counter, "wall"
+            child_cpu, clock = time.perf_counter, WALL
 
         def run_external(args: dict[str, int], rep: int) -> float:
             argv = list(target.command)
@@ -292,7 +297,7 @@ def _runner(target: TargetSpec,
             raise TargetFailure(f"synthetic {target.name} returned {value} at {args}")
         return value
 
-    return "synthetic", run_synthetic
+    return SYNTHETIC, run_synthetic
 
 
 def _measure_points(target: TargetSpec, arg_sets: Sequence[dict[str, int]],
@@ -316,7 +321,7 @@ def _measure_points(target: TargetSpec, arg_sets: Sequence[dict[str, int]],
     samples = []
     for args, point_times in zip(arg_sets, times):
         value, dispersion = _aggregate(cfg, point_times)
-        if clock != "synthetic" and 0.0 <= value < RESOLUTION_MARGIN * effective_clock_tick():
+        if clock != SYNTHETIC and 0.0 <= value < RESOLUTION_MARGIN * effective_clock_tick():
             warnings.warn(
                 f"{target.name} at {args}: {value:.3e}s is within "
                 f"{RESOLUTION_MARGIN}x of the clock step",
@@ -371,7 +376,7 @@ def label_pair(pair: tuple[str, str], sweeps: Sequence[SweepResult],
     # quantized clocks make per-point dispersion underestimate the noise
     # floor (repetitions collapse onto one tick, and the difference of two
     # quantized curves spreads across ~2 ticks)
-    clocked = any(s.clock != "synthetic" for sw in sweeps for s in sw.samples)
+    clocked = any(s.clock != SYNTHETIC for sw in sweeps for s in sw.samples)
     threshold = max(
         ADDITIVE_RANGE_FRACTION * max(float(np.max(c) - np.min(c)) for c in curves),
         ADDITIVE_NOISE_FACTOR * float(np.sqrt(np.mean(np.square(dispersions)))),

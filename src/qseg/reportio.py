@@ -32,6 +32,7 @@ from .interp import (
     knot_sides_differ,
 )
 from .profiler import (
+    CLOCKS,
     InteractionLabel,
     RuntimeProfile,
     SweepResult,
@@ -466,6 +467,8 @@ def _sweep_from_json(sweep: dict) -> SweepResult:
     )
     fixed_values = _numbers(sweep["fixed_values"], "fixed_values")
     for s in samples:
+        if s.clock not in CLOCKS:
+            raise ValueError(f"sample clock {s.clock!r} is none of {', '.join(CLOCKS)}")
         if s.args != {**fixed_values, variable: s.args.get(variable)}:
             raise ValueError(f"sample args {s.args} are not the sweep of {variable!r} "
                              f"at fixed values {fixed_values}")
@@ -480,9 +483,10 @@ def profile_from_document(doc: dict) -> RuntimeProfile:
     name, variables and command but has no runner (validity floors are not
     recorded).  Raises ParseError when the document holds no sweeps or is
     malformed: among other faults, when the sweeps repeat a variable or
-    name one the target does not declare, a sample's args are not its
-    sweep's fixed values plus the swept variable, or a pair label is not
-    ``additive`` or ``composite`` of two distinct swept variables."""
+    name one the target does not declare, a sample's clock is not one of
+    ``profiler.CLOCKS`` or its args are not its sweep's fixed values plus
+    the swept variable, or a pair label is not ``additive`` or
+    ``composite`` of two distinct swept variables."""
     if not doc.get("sweeps"):
         raise ParseError("profile document contains no sweeps")
     try:

@@ -30,6 +30,15 @@ def run(argv):
         return exc.code
 
 
+def additive_profile():
+    """A synthetic profile of x and b whose one pair label is additive."""
+    target = TargetSpec.for_callable(
+        "add", lambda x, b: math.log2(x) + b, ["x", "b"], min_values={"x": 1}
+    )
+    grids = {"x": [8, 16, 32, 64, 128], "b": [1, 8, 16, 32, 64]}
+    return build_runtime_profile(target, grids, MeasureConfig(seed=5))
+
+
 def strip_timing(obj):
     if isinstance(obj, dict):
         return {k: strip_timing(v) for k, v in obj.items() if k not in TIMING_FIELDS}
@@ -99,6 +108,12 @@ class TestApprox:
         assert done.returncode == 2
         assert done.stderr.startswith("usage: qseg approx ")
         assert "Warning" not in done.stderr
+        assert os.listdir(tmp_path) == []
+
+    def test_range_beyond_the_float_range_names_it(self, tmp_path, capsys):
+        assert run(["approx", "--fn", "cospix", "--from=-1e308", "--to=1e308",
+                    "--segments", "2", "--out", str(tmp_path / "r.json")]) == 2
+        assert "--to minus --from exceeds the float range" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_quadrature_work_is_bounded(self, tmp_path, capsys):
@@ -304,6 +319,17 @@ class TestProfile:
                     "--out", str(tmp_path / "p.json")]) == 2
         assert "unrecognized arguments: --vars" in capsys.readouterr().err
 
+    def test_pair_label_line(self, tmp_path, capsys, monkeypatch):
+        profile = additive_profile()
+        monkeypatch.setattr(cli, "build_runtime_profile", lambda *args: profile)
+        out = tmp_path / "p.json"
+        assert run(["profile", "--exec", "prog", "--grid", "x=8:128:5", "--grid", "b=1:64:5",
+                    "--out", str(out)]) == 0
+        (label,) = profile.interactions
+        assert (f"x~b: additive (evidence {label.evidence:.3e}, "
+                f"threshold {label.threshold:.3e})\n") in capsys.readouterr().out
+        assert load_document(out)["interactions"][0]["label"] == "additive"
+
     def test_empty_grid_name_exit_two(self, capsys):
         assert run(["profile", "--exec", "prog", "--grid", " =2:10:3"]) == 2
         assert "names no variable" in capsys.readouterr().err
@@ -406,6 +432,22 @@ class TestClassify:
         assert run(["classify", "--profile", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_fewer_than_two_fittable_candidates_exit_one(self, tmp_path, capsys):
+        # 2**n is past its cap at every point, so only loglog can be fitted
+        path = tmp_path / "s.csv"
+        path.write_text("x,y\n600,1\n700,2\n800,3\n")
+        assert run(["classify", "--input", str(path), "--candidates", "exp,loglog"]) == 1
+        assert "fewer than two fittable candidates" in capsys.readouterr().err
+
+    def test_profile_with_unknown_clock_exit_one(self, tmp_path, capsys):
+        doc = profile_document(additive_profile(), {})
+        doc["sweeps"][0]["samples"][0]["clock"] = 5
+        path = tmp_path / "bad-clock.json"
+        dump_document(doc, path)
+        assert run(["classify", "--profile", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed profile document: "
+                                                  "sample clock 5 is none of ")
 
     def test_both_sources_exit_two(self, series_csv, tmp_path):
         assert run(["classify", "--input", str(series_csv),

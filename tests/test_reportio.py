@@ -29,7 +29,7 @@ from qseg.interp import (
     nodes_from_bounds,
     sample_function,
 )
-from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile
+from qseg.profiler import CLOCKS, MeasureConfig, TargetSpec, build_runtime_profile
 from qseg.reportio import (
     FORMAT_VERSION,
     PLOT_POINTS_PER_SEGMENT,
@@ -673,6 +673,12 @@ class TestDocuments:
             assert vp_back.sweep == vp.sweep
             assert vp_back.model.segments == vp.model.segments
 
+    @pytest.mark.parametrize("clock", CLOCKS)
+    def test_profile_from_document_reads_every_clock(self, clock):
+        doc = json.loads(synthetic_profile_json())
+        doc["sweeps"][0]["samples"][0]["clock"] = clock
+        assert profile_from_document(doc).profiles[0].sweep.samples[0].clock == clock
+
     @pytest.mark.parametrize("doc", [
         {"target": {"kind": "synthetic", "name": "f", "variables": ["x"], "command": None},
          "sweeps": [], "models": {}},
@@ -703,6 +709,10 @@ class TestDocuments:
                      id="cpu-seconds-string"),
         pytest.param(lambda d: d["sweeps"][0]["samples"][0].update(dispersion=False),
                      id="dispersion-boolean"),
+        pytest.param(lambda d: d["sweeps"][0]["samples"][0].update(clock=5), id="clock-number"),
+        pytest.param(lambda d: d["sweeps"][0]["samples"][0].update(clock=None), id="clock-null"),
+        pytest.param(lambda d: d["sweeps"][0]["samples"][0].update(clock="cpu"),
+                     id="clock-unknown"),
         pytest.param(lambda d: d["sweeps"][0]["samples"][0]["args"].update(x="8"),
                      id="args-string"),
         pytest.param(lambda d: d["sweeps"][0]["fixed_values"].update(b="1"),
