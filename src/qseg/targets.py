@@ -6,7 +6,13 @@ payload.  A run repeats its inner work in a batch so that it spans many
 steps of the CPU clock while keeping its cost shape in the swept
 variables.
 
-The batch constants below were sized for coarse clocks (1-10ms steps).
+The batch constants below are sized to a step budget, not to a fixed large
+count: at full batch, a builtin's cheapest default-grid run should span
+the profiler's 100-step warning margin, up to a few hundred steps, of the
+:data:`FULL_BATCH_TICK` design clock.  On a 2.1GHz Xeon that run takes
+about 70 steps for merge-sort and 720 for binary-search; custom and
+search-sort, at 1,100-1,600, are over budget.  On a finer clock a smaller
+:func:`batch_scale` keeps at least as many steps of that clock.
 ``setup`` multiplies them by :func:`batch_scale`, a power of two derived
 from the clock step that :func:`effective_clock_tick` measures here: 1 on
 coarse clocks, down to 1/8 on clocks that step in microseconds.  The scale
@@ -146,7 +152,9 @@ class BuiltinTarget:
 
 # --- binary-search(x): one sorted array, a batch of lookups -------------
 
-_SEARCH_BATCH = 100000
+#: At x = 64 a run takes about 11.6ms at full batch and 1.4ms at scale 1/8
+#: on a 2.1GHz Xeon, over 1,000 steps of a 1.0-1.3us clock.
+_SEARCH_BATCH = 25000
 
 
 def _binary_search_setup(args: dict, rng: np.random.Generator) -> tuple:

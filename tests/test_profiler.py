@@ -600,7 +600,7 @@ class TestBatchScale:
         monkeypatch.setattr(targets, "_effective_tick", 2e-3)
         assert profiler.effective_clock_tick() == 2e-3
 
-    @pytest.mark.parametrize("tick, keys, sorts", [(1.6e-6, 12500, 2), (1e-3, 100000, 16)])
+    @pytest.mark.parametrize("tick, keys, sorts", [(1.6e-6, 3125, 2), (1e-3, 25000, 16)])
     def test_payloads_follow_scale(self, monkeypatch, tick, keys, sorts):
         monkeypatch.setattr(targets, "_effective_tick", tick)
         rng = np.random.default_rng(0)
@@ -625,7 +625,7 @@ class TestBatchScale:
                                                           setup, builtin.run))
         build_runtime_profile(target, {"x": [64, 128, 256]}, CFG)
         assert len(batches) == 3 * (CFG.warmup_runs + CFG.repetitions)
-        assert set(batches) == {round(100000 * targets.batch_scale())}
+        assert set(batches) == {round(25000 * targets.batch_scale())}
 
 
 @pytest.mark.integration
@@ -642,6 +642,16 @@ class TestBuiltinTimingInvariants:
             rising += sum(b >= a for a, b in zip(ys, ys[1:]))
             total += len(ys) - 1
         assert rising / total >= 0.9
+
+    def test_binary_search_cheapest_run_clears_resolution_margin(self):
+        # x = 64, the cheapest default-grid point, stays well clear of the
+        # resolution warning at this process's batch scale
+        target = TargetSpec.for_builtin("binary-search")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TimerResolutionWarning)
+            sample = measure(target, {"x": 64}, MeasureConfig(repetitions=5))
+        floor = 4 * profiler.RESOLUTION_MARGIN * profiler.effective_clock_tick()
+        assert sample.cpu_seconds >= floor
 
     def test_validate_profile_under_ten_percent_all_builtins(self):
         import warnings as _warnings
