@@ -1,9 +1,10 @@
 """Fit candidate asymptotic classes to measured series.
 
 Each candidate is a shape function g(n); fitting finds the nonnegative
-scale k and offset C minimizing least squares of y = k*g(x) + C. Candidates
-are ranked by RMSE normalized to the data range, so the winner is the shape
-that tracks the measurements best regardless of units.
+scale k and offset C minimizing the relative squared error of
+y = k*g(x) + C. Candidates are ranked by that relative RMS error, so the
+winner is the shape that tracks the measurements best regardless of units,
+and the cheap points of a sweep weigh as much as the costly ones.
 """
 
 from __future__ import annotations
@@ -58,7 +59,10 @@ CANDIDATES_BY_NAME: dict[str, CandidateClass] = {c.name: c for c in DEFAULT_CAND
 
 @dataclass(frozen=True)
 class CandidateFit:
-    """Least-squares fit of one candidate: y ~ k*g(x) + C, k >= 0."""
+    """Least-squares fit of one candidate: y ~ k*g(x) + C, k >= 0.
+
+    ``rmse`` is in the units of y; ``nrmse``, the ranking score, is the
+    relative RMS error, or the RMSE over the data range when some y <= 0."""
 
     candidate: CandidateClass
     k: float
@@ -103,10 +107,13 @@ def _eval_candidate(candidate: CandidateClass, x: float) -> float:
 
 
 def fit_class(series: SampleSeries, candidate: CandidateClass) -> CandidateFit:
-    """Closed-form least squares of y = k*g(x) + C with k clamped to >= 0.
+    """Closed-form weighted least squares of y = k*g(x) + C, k clamped to >= 0.
 
-    Points where g(x) is not representable (exp overflow, shapes undefined
-    below their domain) are excluded and noted on the fit.
+    The weights are 1/y**2, so the fit minimizes the relative error and
+    ``nrmse`` is the relative RMS error.  A series with any y <= 0 has no
+    relative error: it is fitted unweighted and ``nrmse`` is the RMSE over
+    the data range.  Points where g(x) is not representable (exp overflow,
+    shapes undefined below their domain) are excluded and noted on the fit.
     """
     xs = series.xs
     ys = series.ys
@@ -121,23 +128,30 @@ def fit_class(series: SampleSeries, candidate: CandidateClass) -> CandidateFit:
         raise DegenerateDesign(
             f"{candidate.name} usable on {len(yu)} of {len(ys)} points"
         )
-    g_mean = float(np.mean(g))
-    y_mean = float(np.mean(yu))
-    sgg = float(np.sum((g - g_mean) ** 2))
+    relative = bool(np.all(ys > 0.0))
+    # weights normalized to mean 1, so the guard below reads as unweighted
+    w = 1.0 / yu ** 2 if relative else np.ones_like(yu)
+    w = w / np.mean(w)
+    g_mean = float(np.mean(w * g))
+    y_mean = float(np.mean(w * yu))
+    sgg = float(np.sum(w * (g - g_mean) ** 2))
     if candidate.name == "const":
         k, c = 0.0, y_mean
     elif sgg <= _EPS * max(1.0, g_mean * g_mean):
         raise DegenerateDesign(f"{candidate.name} is constant over the grid")
     else:
-        k = float(np.sum((g - g_mean) * (yu - y_mean)) / sgg)
+        k = float(np.sum(w * (g - g_mean) * (yu - y_mean)) / sgg)
         if k < 0.0:
             k, c = 0.0, y_mean
         else:
             c = y_mean - k * g_mean
     resid = yu - (k * g + c)
     rmse = float(np.sqrt(np.mean(resid ** 2)))
-    y_range = float(np.max(ys) - np.min(ys))
-    nrmse = rmse / y_range if y_range > 0.0 else rmse
+    if relative:
+        nrmse = float(np.sqrt(np.mean((resid / yu) ** 2)))
+    else:
+        y_range = float(np.max(ys) - np.min(ys))
+        nrmse = rmse / y_range if y_range > 0.0 else rmse
     return CandidateFit(candidate, k, c, rmse, nrmse, int(len(yu)), note)
 
 

@@ -6,13 +6,7 @@ payload.  A run repeats its inner work in a batch so that it spans many
 steps of the CPU clock while keeping its cost shape in the swept
 variables.
 
-The batch constants below are sized to a step budget, not to a fixed large
-count: at full batch, a builtin's cheapest default-grid run should span
-the profiler's 100-step warning margin, up to a few hundred steps, of the
-:data:`FULL_BATCH_TICK` design clock.  On a 2.1GHz Xeon that run takes
-about 70 steps for merge-sort and 720 for binary-search; custom and
-search-sort, at 1,100-1,600, are over budget.  On a finer clock a smaller
-:func:`batch_scale` keeps at least as many steps of that clock.
+The batch constants below are full-batch sizes (see :data:`FULL_BATCH_TICK`).
 ``setup`` multiplies them by :func:`batch_scale`, a power of two derived
 from the clock step that :func:`effective_clock_tick` measures here: 1 on
 coarse clocks, down to 1/8 on clocks that step in microseconds.  The scale
@@ -89,10 +83,11 @@ class ArgSpec:
     spacing: str = "even"
 
 
-#: Clock step from which batches stay at their full size.  Merge-sort at
-#: x = 64, the cheapest default-grid run of any builtin, takes 0.8-1.75ms
-#: at full batch on a 2.1GHz Xeon, 50-110 steps of a 16us clock; a smaller
-#: batch would put it further under the profiler's 100-step warning margin.
+#: Clock step from which batches stay at their full size.  At full batch,
+#: each builtin's cheapest default-grid run spans at least about the
+#: profiler's 100-step warning margin of this clock.  Merge-sort at x = 64,
+#: the cheapest of them, takes 0.8-1.75ms at full batch on a 2.1GHz Xeon,
+#: 50-110 steps; a smaller batch would put it further under the margin.
 FULL_BATCH_TICK = 16e-6
 
 #: Smallest scale whose verdicts were checked against full batches.  Without
@@ -152,8 +147,8 @@ class BuiltinTarget:
 
 # --- binary-search(x): one sorted array, a batch of lookups -------------
 
-#: At x = 64 a run takes about 11.6ms at full batch and 1.4ms at scale 1/8
-#: on a 2.1GHz Xeon, over 1,000 steps of a 1.0-1.3us clock.
+#: At x = 64 a run takes about 11.6ms at full batch on a 2.1GHz Xeon, about
+#: 720 steps of FULL_BATCH_TICK, and 1.4ms at scale 1/8.
 _SEARCH_BATCH = 25000
 
 

@@ -88,7 +88,18 @@ class TestFitClass:
             assert fit.c == pytest.approx(s * base.c, rel=1e-9)
             assert fit.nrmse == pytest.approx(base.nrmse, abs=1e-9)
 
+    @staticmethod
+    def _probe_optimum(objective, fit):
+        best = objective(fit.k, fit.c)
+        for dk in (0.99, 1.0, 1.01):
+            for dc in (0.99, 1.0, 1.01):
+                if dk == dc == 1.0:
+                    continue
+                assert objective(fit.k * dk, fit.c * dc) >= best - 1e-15
+        return best
+
     def test_local_optimality_probe(self):
+        # a positive series is fitted by relative error, and nrmse is that error
         rng = np.random.default_rng(3)
         series = SampleSeries.from_arrays(
             GRID, [2.5 * math.log2(x) + 0.7 + rng.normal(0, 0.2) for x in GRID]
@@ -96,15 +107,28 @@ class TestFitClass:
         fit = fit_class(series, CANDIDATES_BY_NAME["log"])
         g = np.array([math.log2(x) for x in series.xs])
 
+        def relative_rms(k, c):
+            return float(np.sqrt(np.mean(((series.ys - k * g - c) / series.ys) ** 2)))
+
+        assert fit.nrmse == pytest.approx(self._probe_optimum(relative_rms, fit), rel=1e-12)
+
+    def test_nonpositive_series_fits_unweighted(self):
+        # with a y <= 0 there is no relative error: plain least squares,
+        # and nrmse is the RMSE over the data range
+        rng = np.random.default_rng(3)
+        series = SampleSeries.from_arrays(
+            GRID, [2.5 * math.log2(x) - 12.0 + rng.normal(0, 0.2) for x in GRID]
+        )
+        assert series.ys.min() <= 0.0 < series.ys.max()
+        fit = fit_class(series, CANDIDATES_BY_NAME["log"])
+        g = np.array([math.log2(x) for x in series.xs])
+
         def rmse(k, c):
             return float(np.sqrt(np.mean((series.ys - k * g - c) ** 2)))
 
-        best = rmse(fit.k, fit.c)
-        for dk in (0.99, 1.0, 1.01):
-            for dc in (0.99, 1.0, 1.01):
-                if dk == dc == 1.0:
-                    continue
-                assert rmse(fit.k * dk, fit.c * dc) >= best - 1e-15
+        best = self._probe_optimum(rmse, fit)
+        assert fit.rmse == pytest.approx(best, rel=1e-12)
+        assert fit.nrmse == pytest.approx(best / np.ptp(series.ys), rel=1e-12)
 
 
 class TestClassify:
