@@ -246,8 +246,8 @@ def _runner(target: TargetSpec,
 
         def run_builtin(args: dict[str, int], rep: int) -> float:
             rng = np.random.default_rng(_seed_material(cfg, args, rep))
-            payload = builtin.setup(args, rng)
             try:
+                payload = builtin.setup(args, rng)
                 start = _cpu_clock()
                 builtin.run(payload)
                 return _cpu_clock() - start

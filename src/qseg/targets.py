@@ -6,13 +6,12 @@ payload.  A run repeats its inner work in a batch so that it spans many
 steps of the CPU clock while keeping its cost shape in the swept
 variables.
 
-The batch constants below are full-batch sizes (see :data:`FULL_BATCH_TICK`).
-``setup`` multiplies them by :func:`batch_scale`, a power of two derived
-from the clock step that :func:`effective_clock_tick` measures here: 1 on
-coarse clocks, down to 1/8 on clocks that step in microseconds.  The scale
-is the same for every target and every run in a process, so the grids,
-the run counts and the seeds of a profile do not depend on it; only the
-work inside one run does.
+The batch constants below are full-batch sizes.  ``setup`` multiplies them
+by :func:`batch_scale`, which has two cases, set by the clock step that
+:func:`effective_clock_tick` measures here (the rule is stated at
+:data:`FULL_BATCH_TICK`).  The scale is the same for every target and
+every run in a process, so the grids, the run counts and the seeds of a
+profile do not depend on it; only the work inside one run does.
 """
 
 from __future__ import annotations
@@ -83,16 +82,15 @@ class ArgSpec:
     spacing: str = "even"
 
 
-#: Clock step from which batches stay at their full size.  At full batch,
-#: each builtin's cheapest default-grid run spans at least about the
-#: profiler's 100-step warning margin of this clock.  Merge-sort at x = 64,
-#: the cheapest of them, takes 0.8-1.75ms at full batch on a 2.1GHz Xeon,
-#: 50-110 steps; a smaller batch would put it further under the margin.
+#: The batch rule, in two cases.  A clock that steps by FULL_BATCH_TICK or
+#: more (a 15.6ms Windows tick, 1-10ms jiffy accounting) keeps the full
+#: batches; a finer one (about 1us or less on Linux and macOS) scales them
+#: by MIN_BATCH_SCALE, the smallest scale whose verdicts were checked
+#: against full batches.  No real clock steps in between, so a scale between
+#: the two would be chosen by noise in the measured step.  At full batch,
+#: each builtin's cheapest default-grid run (merge-sort at x = 64) spans
+#: about the profiler's 100-step warning margin of this clock.
 FULL_BATCH_TICK = 16e-6
-
-#: Smallest scale whose verdicts were checked against full batches.  Without
-#: it a clock measured at 0.9-1.6us would give 1/16 in some processes and
-#: 1/8 in others.
 MIN_BATCH_SCALE = 1 / 8
 
 
@@ -105,7 +103,10 @@ def effective_clock_tick() -> float:
     Kernels that account CPU in jiffies advance the clock in ~1-10ms steps
     regardless of the advertised nanosecond resolution; :func:`batch_scale`
     and the profiler's noise floors must use the real step.  Measured in
-    this module, once per process, from the steps of ``time.process_time``.
+    this module, once per process, as the smallest of three steps of
+    ``time.process_time``.  On a nanosecond clock that reads this loop's
+    own iteration, about 0.7-2us (rarely up to 5us), which is enough to
+    tell a fine clock from a coarse one.
     """
     global _effective_tick
     if _effective_tick is None:
@@ -123,14 +124,12 @@ def effective_clock_tick() -> float:
 
 
 def batch_scale() -> float:
-    """Power of two that sizes every builtin target's batches.
-
-    ``min(1, max(1/8, 2 ** ceil(log2(tick / 16us))))`` where ``tick`` is the
-    measured step of the process-CPU clock.  The step is measured once per
-    process, so the scale is too.
+    """Scale of every builtin target's batches, in two cases: 1 on a coarse
+    clock, :data:`MIN_BATCH_SCALE` on a fine one (see
+    :data:`FULL_BATCH_TICK`).  The step is measured once per process, so
+    the scale is too.
     """
-    exponent = math.ceil(math.log2(effective_clock_tick() / FULL_BATCH_TICK))
-    return min(1.0, max(MIN_BATCH_SCALE, 2.0 ** exponent))
+    return 1.0 if effective_clock_tick() >= FULL_BATCH_TICK else MIN_BATCH_SCALE
 
 
 def _scaled(batch: int) -> int:

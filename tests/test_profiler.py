@@ -9,6 +9,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -172,14 +173,15 @@ class TestMeasureBuiltin:
         assert any(issubclass(w.category, TimerResolutionWarning) for w in caught) == warns
 
 
-    def test_run_failure_is_target_failure(self):
-        def run(payload):
+    @pytest.mark.parametrize("broken", ["run", "setup"])
+    def test_run_failure_is_target_failure(self, broken):
+        def boom(*args):
             raise RuntimeError("boom")
 
         builtin = targets.BUILTIN_TARGETS["merge-sort"]
+        parts = {"setup": builtin.setup, "run": builtin.run, broken: boom}
         target = TargetSpec(profiler.TargetKind.BUILTIN, "broken", builtin.args,
-                            builtin=targets.BuiltinTarget("broken", builtin.args,
-                                                          builtin.setup, run))
+                            builtin=targets.BuiltinTarget("broken", builtin.args, **parts))
         with pytest.raises(TargetFailure, match="builtin broken raised: boom"):
             measure(target, {"x": 4}, CFG)
 
@@ -588,12 +590,43 @@ class TestBuiltinTargets:
 class TestBatchScale:
     @pytest.mark.parametrize("tick, scale", [
         (15.6e-3, 1.0), (1e-3, 1.0), (16e-6, 1.0),  # coarse clocks keep full batches
-        (4e-6, 0.25),
-        (1.6e-6, 0.125), (0.9e-6, 0.125), (0.1e-6, 0.125),  # floored at 1/8
+        (15.9e-6, 0.125), (4e-6, 0.125), (3.1e-6, 0.125), (2.1e-6, 0.125),  # finer ones: 1/8
+        (1.6e-6, 0.125), (0.9e-6, 0.125), (0.1e-6, 0.125),
     ])
     def test_power_of_two_from_tick(self, monkeypatch, tick, scale):
         monkeypatch.setattr(targets, "_effective_tick", tick)
         assert targets.batch_scale() == scale
+
+    @staticmethod
+    def _script_clock(monkeypatch, process_time, resolution=1e-9):
+        # each process_time read advances a fake perf_counter by 100us
+        state = {"t": 0.0}
+
+        def read_process_time():
+            state["t"] += 1e-4
+            return process_time(state["t"])
+
+        monkeypatch.setattr(targets, "time", types.SimpleNamespace(
+            process_time=read_process_time,
+            perf_counter=lambda: state["t"],
+            get_clock_info=lambda name: types.SimpleNamespace(resolution=resolution)))
+        monkeypatch.setattr(targets, "_effective_tick", None)
+
+    def test_tick_of_a_coarse_clock(self, monkeypatch):
+        self._script_clock(monkeypatch, lambda t: math.floor(t / 15.6e-3) * 15.6e-3)
+        assert targets.effective_clock_tick() == pytest.approx(15.6e-3)
+        assert targets.batch_scale() == 1.0
+
+    def test_tick_is_the_smallest_step(self, monkeypatch):
+        # three microsecond steps, all above 2us: still a fine clock
+        reads = iter([0.0, 3.1e-6, 5.3e-6, 7.4e-6])
+        self._script_clock(monkeypatch, lambda t: next(reads))
+        assert targets.effective_clock_tick() == pytest.approx(2.1e-6)
+        assert targets.batch_scale() == targets.MIN_BATCH_SCALE
+
+    def test_tick_of_a_clock_that_never_steps(self, monkeypatch):
+        self._script_clock(monkeypatch, lambda t: 1.0, resolution=4e-3)
+        assert targets.effective_clock_tick() == 4e-3
 
     def test_profiler_reads_the_same_step(self, monkeypatch):
         assert profiler.effective_clock_tick is targets.effective_clock_tick
