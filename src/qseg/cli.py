@@ -36,8 +36,6 @@ from .interp import (SPACINGS, BlendMode, build_piecewise, knot_sides_differ,
 from .profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
 from .targets import batch_scale
 
-MODE_CHOICES = [m.value for m in BlendMode]
-
 
 def _resolve_seed(flag_value: Optional[int], parser: argparse.ArgumentParser) -> int:
     if flag_value is not None:
@@ -69,6 +67,8 @@ def _grid_flag(text: str) -> tuple[str, list[int]]:
 
 def _check_writable(path: str) -> None:
     """Fail before the work, not after it, if ``path`` cannot be written."""
+    if not path:
+        raise WriteError("cannot write an empty path")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise WriteError(f"cannot write {path}: no directory {directory}")
@@ -154,8 +154,9 @@ def cmd_approx(args, parser: argparse.ArgumentParser) -> int:
 
     if args.plot and os.path.realpath(args.plot) == os.path.realpath(args.out):
         parser.error(f"--out and --plot name the same file, {args.out}")
-    for path in filter(None, (args.out, args.plot)):
-        _check_writable(path)
+    for path in (args.out, args.plot):
+        if path is not None:
+            _check_writable(path)
     if ref is None:
         series = reportio.read_series(args.input)
     else:
@@ -202,15 +203,15 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
 
     seed = _resolve_seed(args.seed, parser)
     try:
-        cfg = MeasureConfig(warmup_runs=args.warmups, repetitions=args.reps, seed=seed)
+        cfg = MeasureConfig(repetitions=args.reps, seed=seed)
     except ValueError as exc:
         parser.error(str(exc))
-    mode = BlendMode(args.mode)
     _check_writable(args.out)
-    profile = build_runtime_profile(target, grids, cfg, mode)
+    profile = build_runtime_profile(target, grids, cfg)
     validation = {vp.variable: validate_profile(vp.model, vp.sweep.series)
                   for vp in profile.profiles}
-    config = {**dataclasses.asdict(cfg), "mode": mode.value, "grids": grids}
+    config = {**dataclasses.asdict(cfg), "mode": profile.profiles[0].model.mode.value,
+              "grids": grids}
     if target.builtin is not None:
         config["batch_scale"] = batch_scale()
     doc = reportio.profile_document(profile, config, validation=validation)
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--segments", type=int, help="segment count")
     p_approx.add_argument("--spacing", choices=list(SPACINGS),
                           help="segment bound layout for --fn (default even)")
-    p_approx.add_argument("--mode", choices=MODE_CHOICES,
+    p_approx.add_argument("--mode", choices=[m.value for m in BlendMode],
                           default=BlendMode.ENDPOINT_SECANT.value)
     p_approx.add_argument("--out", default="report.json", help="report path")
     p_approx.add_argument("--plot", help="optional dense plot-data CSV path")
@@ -317,12 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "a builtin target's own grid for any variable not given")
     p_profile.add_argument("--reps", type=int, default=MeasureConfig.repetitions,
                            help="timed repetitions per point")
-    p_profile.add_argument("--warmups", type=int, default=MeasureConfig.warmup_runs,
-                           help="untimed warmup runs")
     p_profile.add_argument("--seed", type=int, default=None,
                            help="input-data seed (default: QSEG_SEED or 0)")
-    p_profile.add_argument("--mode", choices=MODE_CHOICES,
-                           default=BlendMode.ENDPOINT_SECANT.value)
     p_profile.add_argument("--out", default="profile.json", help="profile document path")
 
     p_classify = add_command("classify", cmd_classify, "rank candidate complexity classes")

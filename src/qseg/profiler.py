@@ -120,20 +120,18 @@ class TargetSpec:
                 for spec in self.variables}
 
 
-_AGGREGATORS: dict[str, Callable[[list[float]], float]] = {
-    "median": statistics.median, "mean": statistics.mean, "min": min,
-}
+_AGGREGATORS: dict[str, Callable[[list[float]], float]] = {"median": statistics.median, "min": min}
 
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    """How each point is measured.
+    """How each point is measured: ``warmup_runs`` untimed runs, then
+    ``repetitions`` timed ones, aggregated by ``median`` or ``min``.
 
     Times come from the process-CPU clock, not wall clock, so OS scheduling
     jitter mostly cancels; the seed drives deterministic input-data
     generation (regenerated per repetition to avoid cache warming).
-    ``min`` aggregation estimates the uncontended floor on machines with
-    background load.
+    ``min`` estimates the uncontended floor on machines with background load.
     """
 
     warmup_runs: int = 1
@@ -246,13 +244,10 @@ def _runner(target: TargetSpec,
 
         def run_builtin(args: dict[str, int], rep: int) -> float:
             rng = np.random.default_rng(_seed_material(cfg, args, rep))
-            try:
-                payload = builtin.setup(args, rng)
-                start = _cpu_clock()
-                builtin.run(payload)
-                return _cpu_clock() - start
-            except Exception as exc:
-                raise TargetFailure(f"builtin {target.name} raised: {exc}") from exc
+            payload = builtin.setup(args, rng)
+            start = _cpu_clock()
+            builtin.run(payload)
+            return _cpu_clock() - start
 
         return PROCESS_CPU, run_builtin
 
@@ -289,10 +284,7 @@ def _runner(target: TargetSpec,
     assert target.evaluator is not None
 
     def run_synthetic(args: dict[str, int], rep: int) -> float:
-        try:
-            value = float(target.evaluator(**{n: args[n] for n in target.variable_names}))
-        except Exception as exc:
-            raise TargetFailure(f"synthetic {target.name} raised: {exc}") from exc
+        value = float(target.evaluator(**{n: args[n] for n in target.variable_names}))
         if not math.isfinite(value):
             raise TargetFailure(f"synthetic {target.name} returned {value} at {args}")
         return value
@@ -304,6 +296,7 @@ def _measure_points(target: TargetSpec, arg_sets: Sequence[dict[str, int]],
                     cfg: MeasureConfig) -> tuple[TimingSample, ...]:
     """Measure each argument set: warm up, repeat, aggregate.
 
+    A run that raises fails the measurement with ``TargetFailure``.
     Repetitions are interleaved round-robin across the sets (rep 0 of every
     set, then rep 1, ...) so slow periods of a loaded machine spread over
     all points instead of distorting one of them.
@@ -315,7 +308,12 @@ def _measure_points(target: TargetSpec, arg_sets: Sequence[dict[str, int]],
     times: list[list[float]] = [[] for _ in arg_sets]
     for rep in range(cfg.warmup_runs + cfg.repetitions):
         for i, args in enumerate(arg_sets):
-            elapsed = run(args, rep)
+            try:
+                elapsed = run(args, rep)
+            except TargetFailure:
+                raise
+            except Exception as exc:
+                raise TargetFailure(f"{target.kind.value} {target.name} raised: {exc}") from exc
             if rep >= cfg.warmup_runs:
                 times[i].append(elapsed)
     samples = []
@@ -353,9 +351,9 @@ def sweep_single(target: TargetSpec, variable: str, grid: Sequence[int],
     return SweepResult(variable, pinned, samples, series)
 
 
-def profile_variable(sweep: SweepResult, mode: BlendMode) -> VariableProfile:
-    """Wrap a sweep's series as a piecewise model with its metadata."""
-    return VariableProfile(sweep, build_piecewise(sweep.series, mode))
+def profile_variable(sweep: SweepResult) -> VariableProfile:
+    """Model a sweep with the endpoint-secant blend, continuous at the knots."""
+    return VariableProfile(sweep, build_piecewise(sweep.series, BlendMode.ENDPOINT_SECANT))
 
 
 def label_pair(pair: tuple[str, str], sweeps: Sequence[SweepResult],
@@ -368,6 +366,8 @@ def label_pair(pair: tuple[str, str], sweeps: Sequence[SweepResult],
     is constant (see ``ADDITIVE_RANGE_FRACTION``), the second variable only
     translates the curve and the pair is additive; otherwise it reshapes it.
     """
+    if not sweeps:
+        raise ValueError(f"label_pair needs at least one sweep to label {pair}")
     swept = {(sw.swept_variable, tuple(p.x for p in sw.series)) for sw in sweeps}
     if len(swept) > 1 or any(variable != pair[0] for variable, _ in swept):
         raise ValueError(f"label_pair needs every sweep to sweep {pair[0]!r} over one grid")
@@ -415,18 +415,19 @@ def _representative_constant(model: PiecewisePoly) -> int:
 
 
 def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
-                          cfg: MeasureConfig, mode: BlendMode = BlendMode.ENDPOINT_SECANT) -> RuntimeProfile:
+                          cfg: MeasureConfig) -> RuntimeProfile:
     """Measure every sweep, then model each variable and label every pair.
 
     The coarse pass sweeps each variable with the others pinned at zero (or
-    the smallest grid value where zero is invalid) to expose its own shape.
-    For multi-variable targets the coarse models fix the pins: each
-    variable's representative input, the integer whose modelled cost equals
-    its coarse model's middle-segment average.  Every later sweep is planned
-    from those pins: one refined sweep per variable, then for each pair a
-    probe sweep of its first variable at each end of its second's grid.
-    The refined sweeps become the models; :func:`label_pair` labels each
-    pair from its probe sweeps.
+    the smallest grid value where zero is invalid) to expose its own shape;
+    a single-variable target's coarse model is its profile.  For
+    multi-variable targets the coarse models fix the pins: each variable's
+    representative input, the integer whose modelled cost equals its coarse
+    model's middle-segment average.  Every later sweep is planned from those
+    pins: one refined sweep per variable, then for each pair a probe sweep
+    of its first variable at each end of its second's grid.  The refined
+    sweeps become the models (:func:`profile_variable`'s endpoint-secant
+    blend); :func:`label_pair` labels each pair from its probe sweeps.
     """
     names = target.variable_names
     if missing := [n for n in names if n not in grids]:
@@ -443,7 +444,7 @@ def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
         others = {n: v for n, v in pins.items() if n != name}
         return sweep_single(target, name, grids[name], others, cfg)
 
-    coarse = [profile_variable(sweep(n, first_pins), mode) for n in names]
+    coarse = [profile_variable(sweep(n, first_pins)) for n in names]
     if target.arity == 1:
         return RuntimeProfile(target, tuple(coarse), ())
 
@@ -454,5 +455,5 @@ def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
               for a, b in pairs]
 
     tick = effective_clock_tick()
-    return RuntimeProfile(target, tuple(profile_variable(sw, mode) for sw in refined),
+    return RuntimeProfile(target, tuple(profile_variable(sw) for sw in refined),
                           tuple(label_pair(pair, sw, tick) for pair, sw in zip(pairs, probes)))

@@ -15,7 +15,7 @@ from qseg.classify import (
     fit_class,
 )
 from qseg.errors import DegenerateDesign
-from qseg.interp import BlendMode, SampleSeries
+from qseg.interp import SampleSeries
 from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile
 
 GRID = [16, 64, 256, 1024, 4096, 16384, 65536]
@@ -206,7 +206,6 @@ class TestClassifyProfile:
             target,
             {"x": [8, 16, 32, 64, 128, 256, 512], "b": [1, 8, 16, 32, 64, 128, 256]},
             MeasureConfig(seed=1),
-            BlendMode.ENDPOINT_SECANT,
         )
         result = classify_profile(profile)
         assert result.summary == "log(x) + linear(b)"
@@ -217,7 +216,6 @@ class TestClassifyProfile:
             target,
             {"m": [1, 5, 9, 13, 17, 21, 25], "x": [8, 16, 32, 64, 128, 256, 512]},
             MeasureConfig(seed=1),
-            BlendMode.ENDPOINT_SECANT,
         )
         result = classify_profile(profile)
         assert result.summary == "linear(m) · linear(x)"

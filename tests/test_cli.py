@@ -194,6 +194,17 @@ class TestApprox:
         # both destinations are checked before anything is sampled or written
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_empty_output_fails_before_sampling(self, tmp_path, capsys, monkeypatch, flag):
+        def model(*args):
+            pytest.fail("modelled before checking the output paths")
+
+        monkeypatch.setattr(cli, "build_piecewise", model)
+        assert run(["approx", "--fn", "log2", "--from", "8", "--to", "64",
+                    "--segments", "3", "--out", str(tmp_path / "r.json"), flag, ""]) == 1
+        assert capsys.readouterr().err == "error: cannot write an empty path\n"
+        assert os.listdir(tmp_path) == []
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -295,6 +306,26 @@ class TestProfile:
         assert run(["profile", "--target", "binary-search", "--grid", "x=64:1024:3",
                     "--out", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+    def test_empty_out_fails_before_measuring(self, capsys, monkeypatch):
+        def measure(*args):
+            pytest.fail("measured before checking --out")
+
+        monkeypatch.setattr(cli, "build_runtime_profile", measure)
+        assert run(["profile", "--target", "binary-search", "--grid", "x=64:1024:3",
+                    "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: cannot write an empty path\n"
+
+    @pytest.mark.parametrize("flag", [["--mode", "pure-lagrange"], ["--warmups", "2"]],
+                             ids=["mode", "warmups"])
+    def test_unsettable_measurement_flags_exit_two(self, tmp_path, capsys, monkeypatch, flag):
+        def measure(*args):
+            pytest.fail(f"measured despite {flag[0]}")
+
+        monkeypatch.setattr(cli, "build_runtime_profile", measure)
+        assert run(["profile", "--target", "binary-search", *flag,
+                    "--out", str(tmp_path / "p.json")]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_exec_variables_follow_grid_order(self, tmp_path, monkeypatch):
         declared = []

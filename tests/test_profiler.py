@@ -22,7 +22,7 @@ from qseg.errors import (
     InsufficientArity,
     TargetFailure,
 )
-from qseg.interp import BlendMode, Concavity, SampleSeries
+from qseg.interp import Concavity, SampleSeries
 from qseg.profiler import (
     MeasureConfig,
     SweepResult,
@@ -79,16 +79,18 @@ class TestMeasureConfig:
         with pytest.raises(ValueError):
             MeasureConfig(aggregator="mode")
 
+    def test_mean_is_not_an_aggregator(self):
+        with pytest.raises(ValueError, match="unknown aggregator 'mean'"):
+            MeasureConfig(aggregator="mean")
+
     def test_aggregators_accepted(self):
-        for agg in ("median", "mean", "min"):
+        for agg in ("median", "min"):
             assert MeasureConfig(aggregator=agg).aggregator == agg
 
 
 class TestMeasureSynthetic:
-    @pytest.mark.parametrize("aggregator", ["median", "mean", "min"])
+    @pytest.mark.parametrize("aggregator", ["median", "min"])
     def test_value_passthrough(self, aggregator):
-        # (3 - 1) / 20 is the double nearest 0.1; a float mean of three
-        # copies of it is not
         target = synthetic("f", lambda x, b: (x - b) / 20, ["x", "b"])
         cfg = MeasureConfig(repetitions=3, aggregator=aggregator)
         sample = measure(target, {"x": 3, "b": 1}, cfg)
@@ -235,6 +237,12 @@ class TestMeasureExternal:
         with pytest.raises(TargetFailure, match="exited 1: bad input$"):
             measure(target, {"x": 1}, CFG)
 
+    def test_other_exception_is_target_failure(self):
+        # subprocess.run raises ValueError, not OSError, for a NUL in argv
+        target = TargetSpec.for_command(["pro\0g"], ["x"])
+        with pytest.raises(TargetFailure, match="external pro\0g raised: embedded null byte"):
+            measure(target, {"x": 1}, CFG)
+
 
 class TestSweepSingle:
     def test_grid_validation(self):
@@ -305,23 +313,20 @@ class TestSweepSingle:
 class TestProfileVariable:
     def test_constant_target_all_linear(self):
         target = synthetic("c", lambda x: 5.0, ["x"])
-        vp = profile_variable(sweep_single(target, "x", LIN_GRID, {}, CFG),
-                              BlendMode.ENDPOINT_SECANT)
+        vp = profile_variable(sweep_single(target, "x", LIN_GRID, {}, CFG))
         assert all(s.concavity() is Concavity.LINEAR for s in vp.model.segments)
 
     def test_linear_cost_slope_recovered(self):
         c = 3.5e-6
         target = synthetic("lin", lambda x: c * x, ["x"])
-        vp = profile_variable(sweep_single(target, "x", LIN_GRID, {}, CFG),
-                              BlendMode.ENDPOINT_SECANT)
+        vp = profile_variable(sweep_single(target, "x", LIN_GRID, {}, CFG))
         for seg in vp.model.segments:
             mid = 0.5 * (seg.lo + seg.hi)
             assert seg.derivative(mid) == pytest.approx(c, rel=0.1)
 
     def test_log_shape_three_downward_segments(self):
         target = synthetic("lg", lambda x: math.log2(x), ["x"], min_values={"x": 1})
-        vp = profile_variable(sweep_single(target, "x", LOG_GRID, {}, CFG),
-                              BlendMode.ENDPOINT_SECANT)
+        vp = profile_variable(sweep_single(target, "x", LOG_GRID, {}, CFG))
         assert len(vp.model.segments) == 3
         assert all(s.concavity() is Concavity.DOWNWARD for s in vp.model.segments)
 
@@ -406,6 +411,10 @@ class TestLabelPair:
         # synthetic samples have no clock step to allow for
         synthetic_sweeps = [made_sweep(lower, "synthetic"), made_sweep(upper, "synthetic")]
         assert label_pair(("x", "b"), synthetic_sweeps, 0.1).threshold == fine.threshold
+
+    def test_needs_a_sweep(self):
+        with pytest.raises(ValueError, match=r"at least one sweep to label \('x', 'b'\)"):
+            label_pair(("x", "b"), [], 0.0)
 
     def test_one_sweep_is_additive(self):
         label = label_pair(("x", "b"), [made_sweep([1.0, 5.0, 2.0], "synthetic")], 0.0)
@@ -664,13 +673,13 @@ class TestBatchScale:
 @pytest.mark.integration
 class TestBuiltinTimingInvariants:
     def test_superlinear_workload_mostly_monotone(self):
-        # mean times of a superlinear target rise along the grid in at
+        # median times of a superlinear target rise along the grid in at
         # least 90% of adjacent pairs across 5 seeded runs
         target = TargetSpec.for_builtin("merge-sort")
         grid = target.default_grids()["x"]
         rising = total = 0
         for seed in range(5):
-            cfg = MeasureConfig(repetitions=3, aggregator="mean", seed=seed)
+            cfg = MeasureConfig(repetitions=3, aggregator="median", seed=seed)
             ys = sweep_single(target, "x", grid, {}, cfg).series.ys
             rising += sum(b >= a for a, b in zip(ys, ys[1:]))
             total += len(ys) - 1
@@ -707,8 +716,6 @@ class TestBuiltinTimingInvariants:
                 with _warnings.catch_warnings():
                     _warnings.simplefilter("ignore", TimerResolutionWarning)
                     vp = profile_variable(
-                        sweep_single(target, spec.name, grids[spec.name], fixed, cfg),
-                        BlendMode.ENDPOINT_SECANT,
-                    )
+                        sweep_single(target, spec.name, grids[spec.name], fixed, cfg))
                 err = validate_profile(vp.model, vp.sweep.series)
                 assert err < 0.1, (name, spec.name, err)
