@@ -5,9 +5,8 @@ Subcommands: ``approx`` (model a CSV series or a named function),
 (rank candidate complexity classes), ``eval`` (evaluate a persisted model).
 
 Exit codes: 0 success, 1 domain error (bad data, failed target, unwritable
-output), 2 usage.  The environment variable QSEG_SEED supplies the default
-seed; an explicit --seed flag wins over it.  ``main`` may be called many
-times in one process: it builds its parser on the first call and reuses it.
+output), 2 usage.  ``main`` may be called many times in one process: it
+builds its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
@@ -35,18 +34,6 @@ from .interp import (SPACINGS, BlendMode, build_piecewise, knot_sides_differ,
                      nodes_from_bounds, sample_function)
 from .profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
 from .targets import batch_scale
-
-
-def _resolve_seed(flag_value: Optional[int], parser: argparse.ArgumentParser) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("QSEG_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        parser.error(f"QSEG_SEED must be an integer, got {env!r}")
 
 
 def _grid_flag(text: str) -> tuple[str, list[int]]:
@@ -201,9 +188,10 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
     if extra := [n for n in grids if n not in target.variable_names]:
         parser.error(f"--grid given for unknown variable(s) {extra}")
 
-    seed = _resolve_seed(args.seed, parser)
+    if not 0 <= args.seed <= 0xFFFFFFFF:
+        parser.error("--seed must be in 0..4294967295: seeds fold to 32 bits")
     try:
-        cfg = MeasureConfig(repetitions=args.reps, seed=seed)
+        cfg = MeasureConfig(repetitions=args.reps, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     _check_writable(args.out)
@@ -318,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "a builtin target's own grid for any variable not given")
     p_profile.add_argument("--reps", type=int, default=MeasureConfig.repetitions,
                            help="timed repetitions per point")
-    p_profile.add_argument("--seed", type=int, default=None,
-                           help="input-data seed (default: QSEG_SEED or 0)")
+    p_profile.add_argument("--seed", type=int, default=MeasureConfig.seed,
+                           help="input-data seed (default 0)")
     p_profile.add_argument("--out", default="profile.json", help="profile document path")
 
     p_classify = add_command("classify", cmd_classify, "rank candidate complexity classes")

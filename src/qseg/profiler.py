@@ -130,7 +130,8 @@ class MeasureConfig:
 
     Times come from the process-CPU clock, not wall clock, so OS scheduling
     jitter mostly cancels; the seed drives deterministic input-data
-    generation (regenerated per repetition to avoid cache warming).
+    generation (regenerated per repetition to avoid cache warming) and
+    folds to 32 bits, so seeds equal modulo 2**32 draw the same data.
     ``min`` estimates the uncontended floor on machines with background load.
     """
 
@@ -275,8 +276,9 @@ def _runner(target: TargetSpec,
                 raise TargetFailure(f"cannot run {argv[0]!r}: {exc}") from exc
             elapsed = child_cpu() - before
             if proc.returncode != 0:
-                raise TargetFailure(f"{argv[0]!r} exited {proc.returncode}: "
-                                    f"{proc.stderr.decode(errors='replace').strip()}")
+                stderr = proc.stderr.decode(errors="replace").strip()
+                raise TargetFailure(f"{argv[0]!r} exited {proc.returncode}"
+                                    + (f": {stderr}" if stderr else ""))
             return elapsed
 
         return clock, run_external
@@ -430,6 +432,8 @@ def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
     blend); :func:`label_pair` labels each pair from its probe sweeps.
     """
     names = target.variable_names
+    if not names:
+        raise InsufficientArity(f"{target.name} has no variables to profile")
     if missing := [n for n in names if n not in grids]:
         raise GridTooSmall(f"no grid declared for {missing}")
     grids = {n: _checked_grid(grids[n], f"grid for {n}") for n in names}

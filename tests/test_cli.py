@@ -569,26 +569,16 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {report} contains no models\n"
 
 
-class TestSeedPrecedence:
-    def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QSEG_SEED", "123")
-        out = tmp_path / "p.json"
+def test_seed_comes_from_the_flag_alone(tmp_path, monkeypatch):
+    # the environment does not choose the inputs a profile measures
+    monkeypatch.setenv("QSEG_SEED", "123")
+    seeds = []
+    for flags in ([], ["--seed", "9"]):
+        out = tmp_path / f"p{len(flags)}.json"
         assert run(["profile", "--target", "binary-search", "--grid", "x=64:1024:3",
-                    "--reps", "3", "--out", str(out)]) == 0
-        assert load_document(out)["config"]["seed"] == 123
-
-    def test_flag_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QSEG_SEED", "123")
-        out = tmp_path / "p.json"
-        assert run(["profile", "--target", "binary-search", "--grid", "x=64:1024:3",
-                    "--reps", "3", "--seed", "9", "--out", str(out)]) == 0
-        assert load_document(out)["config"]["seed"] == 9
-
-    def test_garbage_env_exit_two(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QSEG_SEED", "not-a-number")
-        assert run(["profile", "--target", "binary-search",
-                    "--grid", "x=64:1024:3", "--reps", "3",
-                    "--out", str(tmp_path / "p.json")]) == 2
+                    "--reps", "3", *flags, "--out", str(out)]) == 0
+        seeds.append(load_document(out)["config"]["seed"])
+    assert seeds == [0, 9]
 
 
 class TestHelp:
@@ -610,7 +600,7 @@ class TestHelp:
 
 class TestRepeatedCalls:
     """main() builds its parser once per process; every call still parses
-    its own argv and reads QSEG_SEED afresh."""
+    its own argv."""
 
     def test_parser_built_once(self, monkeypatch):
         built = []
@@ -652,14 +642,6 @@ class TestRepeatedCalls:
         assert len(doc["sweeps"]) == 1
         assert len(doc["sweeps"][0]["samples"]) == 5
 
-    def test_env_seed_read_per_call(self, tmp_path, monkeypatch):
-        for seed in (5, 6):
-            monkeypatch.setenv("QSEG_SEED", str(seed))
-            out = tmp_path / f"{seed}.json"
-            assert run(["profile", "--target", "binary-search", "--grid", "x=64:1024:3",
-                        "--reps", "3", "--out", str(out)]) == 0
-            assert load_document(out)["config"]["seed"] == seed
-
     @pytest.mark.parametrize("sub", ["approx", "profile", "classify", "eval"])
     def test_help_matches_fresh_parser(self, sub, capsys):
         assert run(["approx"]) == 2
@@ -686,10 +668,13 @@ class TestRepeatedCalls:
     ["profile", "--exec", "'prog", "--grid", "x=1:5:3"],
     ["profile", "--target", "binary-search", "--grid", "x=64:1024:3", "--reps", "2"],
     ["classify"],
+    ["profile", "--target", "binary-search", "--seed", "-1"],
+    ["profile", "--target", "binary-search", "--seed", "4294967296"],
 ], ids=["profile", "approx", "classify", "profile-unrecognized", "eval-unrecognized",
         "approx-geometric-from-zero", "approx-fn-without-domain", "approx-zero-segments",
         "profile-empty-exec", "profile-exec-without-grid", "profile-unclosed-quote",
-        "profile-too-few-reps", "classify-no-source"])
+        "profile-too-few-reps", "classify-no-source", "profile-negative-seed",
+        "profile-seed-past-32-bits"])
 def test_usage_error_names_its_subcommand(argv, capsys):
     # errors found while parsing and by a handler after it both print the
     # subcommand's usage

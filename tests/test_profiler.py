@@ -237,6 +237,11 @@ class TestMeasureExternal:
         with pytest.raises(TargetFailure, match="exited 1: bad input$"):
             measure(target, {"x": 1}, CFG)
 
+    def test_empty_stderr_leaves_no_separator(self):
+        target = TargetSpec.for_command([sys.executable, "-c", "import sys; sys.exit(3)"], ["x"])
+        with pytest.raises(TargetFailure, match="exited 3$"):
+            measure(target, {"x": 1}, CFG)
+
     def test_other_exception_is_target_failure(self):
         # subprocess.run raises ValueError, not OSError, for a NUL in argv
         target = TargetSpec.for_command(["pro\0g"], ["x"])
@@ -449,6 +454,10 @@ class TestBuildRuntimeProfile:
     def test_repeated_variable_name_rejected(self, make):
         with pytest.raises(ValueError, match="repeats a variable name"):
             make()
+
+    def test_no_variables_rejected(self):
+        with pytest.raises(InsufficientArity, match="none has no variables"):
+            build_runtime_profile(synthetic("none", lambda: 1.0, []), {}, CFG)
 
     def test_arity_one(self):
         target = synthetic("lg", lambda x: math.log2(x), ["x"], min_values={"x": 1})
