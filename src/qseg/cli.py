@@ -18,6 +18,7 @@ import math
 import os
 import shlex
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from . import reportio
@@ -32,7 +33,8 @@ from .classify import (
 from .errors import GridTooSmall, OutOfDomain, ParseError, QsegError, WriteError
 from .interp import (SPACINGS, BlendMode, build_piecewise, knot_sides_differ,
                      nodes_from_bounds, sample_function)
-from .profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
+from .profiler import (MeasureConfig, TargetSpec, TimerResolutionWarning, build_runtime_profile,
+                       integer_grid)
 from .targets import batch_scale
 
 
@@ -195,7 +197,18 @@ def cmd_profile(args, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     _check_writable(args.out)
-    profile = build_runtime_profile(target, grids, cfg)
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def show_line(message, category, *rest, **kwargs):
+            # one stderr line per point near the clock step, as eval warns
+            if issubclass(category, TimerResolutionWarning):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                show(message, category, *rest, **kwargs)
+
+        warnings.showwarning = show_line
+        profile = build_runtime_profile(target, grids, cfg)
     validation = {vp.variable: validate_profile(vp.model, vp.sweep.series)
                   for vp in profile.profiles}
     config = {**dataclasses.asdict(cfg), "mode": profile.profiles[0].model.mode.value,

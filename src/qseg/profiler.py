@@ -31,7 +31,8 @@ from .targets import BUILTIN_TARGETS, ArgSpec, BuiltinTarget, effective_clock_ti
 
 log = logging.getLogger(__name__)
 
-#: Aggregated times under 100x the measured clock step get a warning.
+#: Aggregated times under 100x the measured clock step get a warning.  The
+#: times are those the clock read, before a run's factor scales them.
 RESOLUTION_MARGIN = 100
 
 #: A difference curve counts as constant when its max-min spread stays under
@@ -234,11 +235,13 @@ def _aggregate(cfg: MeasureConfig, times: list[float]) -> tuple[float, float]:
     return float(_AGGREGATORS[cfg.aggregator](times)), float(statistics.stdev(times))
 
 
-def _runner(target: TargetSpec,
-            cfg: MeasureConfig) -> tuple[str, Callable[[dict[str, int], int], float]]:
+def _runner(target: TargetSpec, cfg: MeasureConfig
+            ) -> tuple[str, Callable[[dict[str, int], int], tuple[float, float]]]:
     """The name of the clock that times ``target`` and a function that
     makes one run at the given arguments and repetition index and returns
-    its time (a synthetic target's value stands in for it)."""
+    its time (a synthetic target's value stands in for it) and the factor
+    that scales it to the sample's unit: what a builtin's ``run`` returns,
+    else 1.0."""
     if target.kind is TargetKind.BUILTIN:
         builtin = target.builtin
         assert builtin is not None
@@ -247,8 +250,8 @@ def _runner(target: TargetSpec,
             rng = np.random.default_rng(_seed_material(cfg, args, rep))
             payload = builtin.setup(args, rng)
             start = _cpu_clock()
-            builtin.run(payload)
-            return _cpu_clock() - start
+            factor = builtin.run(payload)
+            return _cpu_clock() - start, float(factor)
 
         return PROCESS_CPU, run_builtin
 
@@ -265,7 +268,7 @@ def _runner(target: TargetSpec,
         except ImportError:  # pragma: no cover - non-Unix fallback
             child_cpu, clock = time.perf_counter, WALL
 
-        def run_external(args: dict[str, int], rep: int) -> float:
+        def run_external(args: dict[str, int], rep: int) -> tuple[float, float]:
             argv = list(target.command)
             for name in target.variable_names:
                 argv += ["--var", f"{name}={args[name]}"]
@@ -279,17 +282,17 @@ def _runner(target: TargetSpec,
                 stderr = proc.stderr.decode(errors="replace").strip()
                 raise TargetFailure(f"{argv[0]!r} exited {proc.returncode}"
                                     + (f": {stderr}" if stderr else ""))
-            return elapsed
+            return elapsed, 1.0
 
         return clock, run_external
 
     assert target.evaluator is not None
 
-    def run_synthetic(args: dict[str, int], rep: int) -> float:
+    def run_synthetic(args: dict[str, int], rep: int) -> tuple[float, float]:
         value = float(target.evaluator(**{n: args[n] for n in target.variable_names}))
         if not math.isfinite(value):
             raise TargetFailure(f"synthetic {target.name} returned {value} at {args}")
-        return value
+        return value, 1.0
 
     return SYNTHETIC, run_synthetic
 
@@ -301,29 +304,31 @@ def _measure_points(target: TargetSpec, arg_sets: Sequence[dict[str, int]],
     A run that raises fails the measurement with ``TargetFailure``.
     Repetitions are interleaved round-robin across the sets (rep 0 of every
     set, then rep 1, ...) so slow periods of a loaded machine spread over
-    all points instead of distorting one of them.
+    all points instead of distorting one of them.  A sample aggregates the
+    scaled times; the resolution warning reads the times the clock read.
     """
     missing = [n for n in target.variable_names if any(n not in args for args in arg_sets)]
     if missing:
         raise ValueError(f"missing argument values for {missing}")
     clock, run = _runner(target, cfg)
-    times: list[list[float]] = [[] for _ in arg_sets]
+    runs: list[list[tuple[float, float]]] = [[] for _ in arg_sets]
     for rep in range(cfg.warmup_runs + cfg.repetitions):
         for i, args in enumerate(arg_sets):
             try:
-                elapsed = run(args, rep)
+                elapsed, factor = run(args, rep)
             except TargetFailure:
                 raise
             except Exception as exc:
                 raise TargetFailure(f"{target.kind.value} {target.name} raised: {exc}") from exc
             if rep >= cfg.warmup_runs:
-                times[i].append(elapsed)
+                runs[i].append((elapsed, factor))
     samples = []
-    for args, point_times in zip(arg_sets, times):
-        value, dispersion = _aggregate(cfg, point_times)
-        if clock != SYNTHETIC and 0.0 <= value < RESOLUTION_MARGIN * effective_clock_tick():
+    for args, point_runs in zip(arg_sets, runs):
+        value, dispersion = _aggregate(cfg, [elapsed * factor for elapsed, factor in point_runs])
+        raw = _AGGREGATORS[cfg.aggregator]([elapsed for elapsed, _ in point_runs])
+        if clock != SYNTHETIC and 0.0 <= raw < RESOLUTION_MARGIN * effective_clock_tick():
             warnings.warn(
-                f"{target.name} at {args}: {value:.3e}s is within "
+                f"{target.name} at {args}: runs of {raw:.3e}s are within "
                 f"{RESOLUTION_MARGIN}x of the clock step",
                 TimerResolutionWarning,
                 stacklevel=3,

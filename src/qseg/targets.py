@@ -12,6 +12,12 @@ by :func:`batch_scale`, which has two cases, set by the clock step that
 :data:`FULL_BATCH_TICK`).  The scale is the same for every target and
 every run in a process, so the grids, the run counts and the seeds of a
 profile do not depend on it; only the work inside one run does.
+
+``run`` returns the factor by which the profiler multiplies the run's
+time.  It is 1.0 for every run of a scaled batch.  On a fine clock
+merge-sort sizes each run by its work instead (:func:`_sorts_per_run`)
+and returns the factor that reports the time of its scaled batch, so a
+sample's time keeps one unit across the grid.
 """
 
 from __future__ import annotations
@@ -138,10 +144,13 @@ def _scaled(batch: int) -> int:
 
 @dataclass(frozen=True)
 class BuiltinTarget:
+    """A seeded, untimed ``setup`` of one run's payload and the timed
+    ``run`` over it, which returns the factor its time is multiplied by."""
+
     name: str
     args: tuple[ArgSpec, ...]
     setup: Callable[[dict, np.random.Generator], tuple]
-    run: Callable[[tuple], object]
+    run: Callable[[tuple], float]
 
 
 # --- binary-search(x): one sorted array, a batch of lookups -------------
@@ -158,30 +167,54 @@ def _binary_search_setup(args: dict, rng: np.random.Generator) -> tuple:
     return arr, keys
 
 
-def _binary_search_run(payload: tuple) -> int:
+def _binary_search_run(payload: tuple) -> float:
     arr, keys = payload
     hit = 0
     for key in keys:
         hit ^= binary_search(arr, key)
-    return hit
+    return 1.0
 
 
-# --- merge-sort(x): a few sorts of one shuffled array --------------------
+# --- merge-sort(x): sorts of one shuffled array ---------------------------
 
+#: Sorts per run at full batch, and the unit every merge-sort run reports
+#: its time in once scaled: the time of ``_scaled(_SORT_BATCH)`` sorts (16
+#: on a coarse clock, 2 on a fine one).
 _SORT_BATCH = 16
+
+
+def _sort_work(x: int) -> float:
+    # x log2 x comparisons; sizes below 2 count as 1, so no log2(0)
+    return x * math.log2(x) if x > 1 else 1.0
+
+
+#: On a fine clock every run does at least this work: two sorts of the
+#: default grid's middle point, 724 elements.  A run at x = 64 then makes 36
+#: sorts (about 2.3ms on a 2.1GHz Xeon) instead of 2 (0.13ms, near the
+#: warning margin), and one at x = 8192 makes one sort instead of two.
+_SORT_WORK = 2 * _sort_work(724)
+
+
+def _sorts_per_run(x: int) -> int:
+    """Sorts one merge-sort run makes at x: the scaled batch on a coarse
+    clock, else enough sorts to do :data:`_SORT_WORK` (36, 14, 6, 2, 1, 1, 1
+    on the default grid).  A pure function of x and :func:`batch_scale`."""
+    if batch_scale() != MIN_BATCH_SCALE:
+        return _scaled(_SORT_BATCH)
+    return math.ceil(_SORT_WORK / _sort_work(x))
 
 
 def _merge_sort_setup(args: dict, rng: np.random.Generator) -> tuple:
     data = rng.random(args["x"]).tolist()
-    return data, _scaled(_SORT_BATCH)
+    sorts = _sorts_per_run(args["x"])
+    return data, sorts, _scaled(_SORT_BATCH) / sorts
 
 
-def _merge_sort_run(payload: tuple) -> int:
-    data, sorts = payload
-    out = None
+def _merge_sort_run(payload: tuple) -> float:
+    data, sorts, factor = payload
     for _ in range(sorts):
-        out = merge_sort(data)
-    return len(out) if out is not None else 0
+        merge_sort(data)
+    return factor
 
 
 # --- search-sort(x, b): batched binary search + linear block scans -------
@@ -205,7 +238,7 @@ def _search_sort_run(payload: tuple) -> float:
         acc += binary_search(arr, key)
     for _ in range(scans):
         acc += sum(block)
-    return acc
+    return 1.0
 
 
 # --- custom(m, x, b): m*x multiply-accumulate plus loglog depth loop -----
@@ -228,7 +261,7 @@ def _custom_run(payload: tuple) -> float:
                 acc += v * i
     for _ in range(depth_batch):
         acc += sqrt_depth(b)
-    return acc
+    return 1.0
 
 
 BUILTIN_TARGETS: dict[str, BuiltinTarget] = {

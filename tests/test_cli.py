@@ -6,14 +6,16 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
-from qseg import cli
+from qseg import cli, targets
 from qseg.classify import classify_profile
 from qseg.cli import build_parser, main
 from qseg.errors import OutOfDomain, ParseError, TargetFailure
-from qseg.profiler import MeasureConfig, TargetSpec, build_runtime_profile, integer_grid
+from qseg.profiler import (MeasureConfig, TargetSpec, TimerResolutionWarning,
+                           build_runtime_profile, integer_grid)
 from qseg.reportio import dump_document, load_document, profile_document
 from qseg.targets import batch_scale
 
@@ -360,6 +362,20 @@ class TestProfile:
         assert (f"x~b: additive (evidence {label.evidence:.3e}, "
                 f"threshold {label.threshold:.3e})\n") in capsys.readouterr().out
         assert load_document(out)["interactions"][0]["label"] == "additive"
+
+    def test_resolution_warning_is_one_stderr_line(self, tmp_path, capsys, monkeypatch):
+        # a 1s clock step puts every point under the 100-step margin
+        monkeypatch.setattr(targets, "_effective_tick", 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["profile", "--exec", f"{sys.executable} -c pass", "--grid", "n=1:5:3",
+                        "--reps", "3", "--out", str(tmp_path / "p.json")]) == 0
+        assert not [w for w in caught if issubclass(w.category, TimerResolutionWarning)]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        for line, n in zip(lines, (1, 3, 5)):
+            assert line.startswith(f"warning: {sys.executable} at {{'n': {n}}}: runs of ")
+            assert line.endswith("s are within 100x of the clock step")
 
     def test_empty_grid_name_exit_two(self, capsys):
         assert run(["profile", "--exec", "prog", "--grid", " =2:10:3"]) == 2

@@ -283,7 +283,8 @@ class TestSweepSingle:
         target = TargetSpec.for_builtin("binary-search")
         monkeypatch.setattr(
             profiler, "_runner",
-            lambda t, cfg: ("process-cpu", lambda args, rep: calls.append((rep, args["x"])) or 0.01),
+            lambda t, cfg: ("process-cpu",
+                            lambda args, rep: calls.append((rep, args["x"])) or (0.01, 1.0)),
         )
         cfg = MeasureConfig(repetitions=3, seed=0)
         sweep_single(target, "x", [1, 2, 3], {}, cfg)
@@ -651,14 +652,75 @@ class TestBatchScale:
         monkeypatch.setattr(targets, "_effective_tick", 2e-3)
         assert profiler.effective_clock_tick() == 2e-3
 
-    @pytest.mark.parametrize("tick, keys, sorts", [(1.6e-6, 3125, 2), (1e-3, 25000, 16)])
+    @pytest.mark.parametrize("tick, keys, sorts", [(1.6e-6, 3125, 36), (1e-3, 25000, 16)])
     def test_payloads_follow_scale(self, monkeypatch, tick, keys, sorts):
         monkeypatch.setattr(targets, "_effective_tick", tick)
         rng = np.random.default_rng(0)
         _, search_keys = targets.BUILTIN_TARGETS["binary-search"].setup({"x": 64}, rng)
-        _, sort_batch = targets.BUILTIN_TARGETS["merge-sort"].setup({"x": 64}, rng)
+        _, sort_batch, _ = targets.BUILTIN_TARGETS["merge-sort"].setup({"x": 64}, rng)
         assert len(search_keys) == keys
         assert sort_batch == sorts
+
+    @pytest.mark.parametrize("tick, sorts", [
+        # fine clock: at least two 724-element sorts of work; x = 0 and 1
+        # count as work 1
+        (1.6e-6, [13756, 13756, 36, 14, 6, 2, 1, 1, 1]),
+        (1e-3, [16] * 9),  # coarse clock: the full batch at every x
+    ])
+    def test_merge_sort_runs_sized_by_work(self, monkeypatch, tick, sorts):
+        monkeypatch.setattr(targets, "_effective_tick", tick)
+        nominal = round(16 * targets.batch_scale())
+        builtin = targets.BUILTIN_TARGETS["merge-sort"]
+        for x, count in zip([0, 1, *PINNED_DEFAULT_GRIDS["merge-sort"]["x"]], sorts):
+            data, made, factor = builtin.setup({"x": x}, np.random.default_rng(0))
+            assert (len(data), made, factor) == (x, count, nominal / count)
+            assert builtin.run((data, made, factor)) == factor
+
+    @pytest.mark.parametrize("tick", [1.6e-6, 1e-3])
+    def test_other_payloads_keep_their_batches(self, monkeypatch, tick):
+        monkeypatch.setattr(targets, "_effective_tick", tick)
+        scale = targets.batch_scale()
+
+        def batch(full):
+            return max(1, round(full * scale))
+
+        expected = {
+            "binary-search": lambda p: (len(p[0]), len(p[1])) == (64, batch(25000)),
+            "search-sort": lambda p: (len(p[0]), len(p[1]), len(p[2]), p[3])
+                                     == (16, 4, batch(67000), batch(15000)),
+            "custom": lambda p: (len(p[0]),) + p[1:] == (16, 2, 4, batch(400), batch(100000)),
+        }
+        for name, matches in expected.items():
+            builtin = targets.BUILTIN_TARGETS[name]
+            args = {n: grid[0] for n, grid in PINNED_DEFAULT_GRIDS[name].items()}
+            payload = builtin.setup(args, np.random.default_rng(0))
+            assert matches(payload), name
+            assert builtin.run(payload) == 1.0
+
+    @pytest.mark.parametrize("tick, x, reported", [
+        (1.6e-6, 64, 0.2 * 2 / 36), (1.6e-6, 724, 0.2), (1.6e-6, 8192, 0.4),
+        (1e-3, 64, 0.2), (1e-3, 8192, 0.2),
+    ])
+    def test_merge_sort_reports_its_nominal_batch(self, monkeypatch, tick, x, reported):
+        # every run reads 0.2s on the fake clock: elapsed x nominal / sorts
+        monkeypatch.setattr(targets, "_effective_tick", tick)
+        ticks = itertools.count(0.0, 0.2)
+        monkeypatch.setattr(profiler, "_cpu_clock", lambda: next(ticks))
+        sample = measure(TargetSpec.for_builtin("merge-sort"), {"x": x}, CFG)
+        assert sample.cpu_seconds == pytest.approx(reported)
+
+    @pytest.mark.parametrize("x, run_seconds, warns", [
+        (8192, 1e-4, True),  # scaled to 2e-4, over the 1.6e-4 margin, but raw under it
+        (64, 2e-4, False),  # scaled to 1.1e-5, under the margin, but raw over it
+    ])
+    def test_resolution_warning_reads_raw_runs(self, monkeypatch, x, run_seconds, warns):
+        monkeypatch.setattr(targets, "_effective_tick", 1.6e-6)
+        ticks = itertools.count(0.0, run_seconds)
+        monkeypatch.setattr(profiler, "_cpu_clock", lambda: next(ticks))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            measure(TargetSpec.for_builtin("merge-sort"), {"x": x}, CFG)
+        assert any(issubclass(w.category, TimerResolutionWarning) for w in caught) == warns
 
     def test_one_batch_per_profile(self, monkeypatch):
         # measure the tick afresh; every run of the profile sees one scale
@@ -707,6 +769,19 @@ class TestBuiltinTimingInvariants:
             sample = measure(target, {"x": 64}, MeasureConfig(repetitions=5))
         floor = 4 * profiler.RESOLUTION_MARGIN * profiler.effective_clock_tick()
         assert sample.cpu_seconds >= floor
+
+    def test_merge_sort_cheapest_run_clears_resolution_margin(self):
+        # x = 64 makes enough sorts on a fine clock that its raw run, not
+        # only the time it reports, stays well clear of the warning
+        if profiler.effective_clock_tick() > targets.FULL_BATCH_TICK:
+            pytest.skip("clock coarser than FULL_BATCH_TICK keeps the full batch")
+        target = TargetSpec.for_builtin("merge-sort")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TimerResolutionWarning)
+            sample = measure(target, {"x": 64}, MeasureConfig(repetitions=5))
+        _, _, factor = target.builtin.setup({"x": 64}, np.random.default_rng(0))
+        floor = 4 * profiler.RESOLUTION_MARGIN * profiler.effective_clock_tick()
+        assert sample.cpu_seconds / factor >= floor
 
     def test_validate_profile_under_ten_percent_all_builtins(self):
         import warnings as _warnings
