@@ -246,7 +246,7 @@ def _runner(target: TargetSpec, cfg: MeasureConfig
         builtin = target.builtin
         assert builtin is not None
 
-        def run_builtin(args: dict[str, int], rep: int) -> float:
+        def run_builtin(args: dict[str, int], rep: int) -> tuple[float, float]:
             rng = np.random.default_rng(_seed_material(cfg, args, rep))
             payload = builtin.setup(args, rng)
             start = _cpu_clock()
@@ -337,22 +337,14 @@ def _measure_points(target: TargetSpec, arg_sets: Sequence[dict[str, int]],
     return tuple(samples)
 
 
-def measure(target: TargetSpec, args: dict[str, int], cfg: MeasureConfig) -> TimingSample:
-    """Measure one point: warm up, repeat, aggregate.
-
-    Input data is regenerated per repetition from the seed, so a fixed seed
-    gives identical argument/data sequences while timings stay honest.
-    """
-    return _measure_points(target, [args], cfg)[0]
-
-
 def sweep_single(target: TargetSpec, variable: str, grid: Sequence[int],
                  fixed: dict[str, int], cfg: MeasureConfig) -> SweepResult:
     """Measure one point per grid value of ``variable``, everything else
-    pinned at ``fixed``, with repetitions interleaved across the grid."""
+    pinned at ``fixed`` (which may hold a value for ``variable``; it is
+    dropped), with repetitions interleaved across the grid."""
     grid = _checked_grid(grid, f"grid for {variable}")
     pinned = {n: int(fixed[n]) for n in target.variable_names if n != variable and n in fixed}
-    log.debug("sweep %s over %s fixed=%s", variable, grid, fixed)
+    log.debug("sweep %s over %s fixed=%s", variable, grid, pinned)
     samples = _measure_points(target, [{**pinned, variable: g} for g in grid], cfg)
     series = SampleSeries.from_arrays(grid, [s.cpu_seconds for s in samples])
     return SweepResult(variable, pinned, samples, series)
@@ -449,18 +441,15 @@ def build_runtime_profile(target: TargetSpec, grids: dict[str, Sequence[int]],
             raise GridTooSmall(f"grid for {spec.name} starts below its validity floor {floor}")
         first_pins[spec.name] = 0 if floor <= 0 else start
 
-    def sweep(name: str, pins: dict[str, int]) -> SweepResult:
-        others = {n: v for n, v in pins.items() if n != name}
-        return sweep_single(target, name, grids[name], others, cfg)
-
-    coarse = [profile_variable(sweep(n, first_pins)) for n in names]
+    coarse = [profile_variable(sweep_single(target, n, grids[n], first_pins, cfg)) for n in names]
     if target.arity == 1:
         return RuntimeProfile(target, tuple(coarse), ())
 
     pins = {vp.variable: _representative_constant(vp.model) for vp in coarse}
-    refined = [sweep(n, pins) for n in names]
+    refined = [sweep_single(target, n, grids[n], pins, cfg) for n in names]
     pairs = list(itertools.combinations(names, 2))
-    probes = [[sweep(a, {**pins, b: grids[b][0]}), sweep(a, {**pins, b: grids[b][-1]})]
+    probes = [[sweep_single(target, a, grids[a], {**pins, b: probe}, cfg)
+               for probe in (grids[b][0], grids[b][-1])]
               for a, b in pairs]
 
     tick = effective_clock_tick()

@@ -177,3 +177,8 @@ class TestValidateProfile:
         wider = sample_function(math.sqrt, [0.5, 2, 3])
         with pytest.raises(OutOfDomain):
             validate_profile(pw, wider)
+
+    def test_empty_samples(self):
+        pw = build_piecewise(sample_function(math.sqrt, [1, 2, 3]), BlendMode.ENDPOINT_SECANT)
+        with pytest.raises(OutOfDomain, match="empty sample series"):
+            validate_profile(pw, SampleSeries(()))

@@ -112,6 +112,12 @@ class TestApprox:
         assert "Warning" not in done.stderr
         assert os.listdir(tmp_path) == []
 
+    def test_unparsable_bound_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["approx", "--fn", "cospix", "--from", "abc", "--to", "4",
+                    "--segments", "2", "--out", str(tmp_path / "r.json")]) == 2
+        assert "argument --from: invalid float value: 'abc'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_range_beyond_the_float_range_names_it(self, tmp_path, capsys):
         assert run(["approx", "--fn", "cospix", "--from=-1e308", "--to=1e308",
                     "--segments", "2", "--out", str(tmp_path / "r.json")]) == 2
@@ -376,6 +382,21 @@ class TestProfile:
         for line, n in zip(lines, (1, 3, 5)):
             assert line.startswith(f"warning: {sys.executable} at {{'n': {n}}}: runs of ")
             assert line.endswith("s are within 100x of the clock step")
+
+    def test_other_warnings_keep_their_display(self, tmp_path, capsys, monkeypatch):
+        def measure(target, grids, cfg):
+            warnings.warn("not about the clock", UserWarning)
+            return build_runtime_profile(
+                TargetSpec.for_callable("f", lambda n: float(n), ["n"]), grids, cfg)
+
+        monkeypatch.setattr(cli, "build_runtime_profile", measure)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["profile", "--exec", "prog", "--grid", "n=1:5:3",
+                        "--reps", "3", "--out", str(tmp_path / "p.json")]) == 0
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "not about the clock")]
+        assert "warning: not about the clock" not in capsys.readouterr().err
 
     def test_empty_grid_name_exit_two(self, capsys):
         assert run(["profile", "--exec", "prog", "--grid", " =2:10:3"]) == 2

@@ -92,6 +92,10 @@ class TestSampleSeries:
         assert len(SampleSeries((P(5, 7),))) == 1
         assert len(SampleSeries.from_arrays([1, 2], [3, 4])) == 2
 
+    def test_from_arrays_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="x and y lengths differ"):
+            SampleSeries.from_arrays([1, 2, 3], [3, 4])
+
 
 class TestSecantLine:
     def test_identity_line(self):
@@ -150,6 +154,10 @@ class TestLagrangeGeneral:
 
     def test_single_point_constant(self):
         np.testing.assert_allclose(lagrange_general(SampleSeries((P(5, 7),))), [7.0])
+
+    def test_empty_series(self):
+        with pytest.raises(TooFewPoints, match="empty series"):
+            lagrange_general(SampleSeries(()))
 
     def test_agrees_with_three_point_path(self):
         series = SampleSeries.from_arrays([0, 1, 2], [0, 1, 4])
@@ -254,6 +262,10 @@ class TestBuildPiecewise:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             build_piecewise(SampleSeries((P(0, 0),)), BlendMode.ENDPOINT_SECANT)
+
+    def test_no_segments(self):
+        with pytest.raises(TooFewPoints, match="at least one segment"):
+            PiecewisePoly((), BlendMode.ENDPOINT_SECANT)
 
     def test_contiguity_enforced(self):
         seg1 = build_segment(P(0, 0), P(1, 1), P(2, 4), BlendMode.PURE_LAGRANGE)

@@ -33,7 +33,6 @@ from qseg.profiler import (
     detect_interaction,
     integer_grid,
     label_pair,
-    measure,
     profile_variable,
     sweep_single,
 )
@@ -66,6 +65,11 @@ PAIR_TARGETS = {
 }
 
 
+def measure_point(target, args, cfg):
+    """One point through the profiler's measurement loop."""
+    return profiler._measure_points(target, [args], cfg)[0]
+
+
 def synthetic(name, fn, variables, **kw):
     return TargetSpec.for_callable(name, fn, variables, **kw)
 
@@ -93,7 +97,7 @@ class TestMeasureSynthetic:
     def test_value_passthrough(self, aggregator):
         target = synthetic("f", lambda x, b: (x - b) / 20, ["x", "b"])
         cfg = MeasureConfig(repetitions=3, aggregator=aggregator)
-        sample = measure(target, {"x": 3, "b": 1}, cfg)
+        sample = measure_point(target, {"x": 3, "b": 1}, cfg)
         assert sample.cpu_seconds == 0.1
         assert sample.dispersion == 0.0
         assert sample.clock == "synthetic"
@@ -102,23 +106,23 @@ class TestMeasureSynthetic:
         target = synthetic("f", lambda x: 1e-9, ["x"])
         with warnings.catch_warnings():
             warnings.simplefilter("error", TimerResolutionWarning)
-            assert measure(target, {"x": 1}, CFG).cpu_seconds == 1e-9
+            assert measure_point(target, {"x": 1}, CFG).cpu_seconds == 1e-9
 
     def test_missing_args(self):
         target = synthetic("f", lambda x, b: x + b, ["x", "b"])
         with pytest.raises(ValueError):
-            measure(target, {"x": 3}, CFG)
+            measure_point(target, {"x": 3}, CFG)
 
     def test_evaluator_exception_wrapped(self):
         target = synthetic("f", lambda x: math.log2(x), ["x"])
         with pytest.raises(TargetFailure):
-            measure(target, {"x": 0}, CFG)
+            measure_point(target, {"x": 0}, CFG)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_value_rejected(self, value):
         target = synthetic("f", lambda x: value, ["x"])
         with pytest.raises(TargetFailure):
-            measure(target, {"x": 1}, CFG)
+            measure_point(target, {"x": 1}, CFG)
         with pytest.raises(TargetFailure):
             sweep_single(target, "x", [1, 2, 3], {}, CFG)
 
@@ -130,14 +134,14 @@ class TestMeasureBuiltin:
 
     def test_empty_input_near_clock_floor(self):
         target = TargetSpec.for_builtin("binary-search")
-        sample = measure(target, {"x": 0}, CFG)
+        sample = measure_point(target, {"x": 0}, CFG)
         assert sample.cpu_seconds >= 0.0
         assert sample.cpu_seconds < 0.2
 
     def test_repeatability_same_seed(self):
         target = TargetSpec.for_builtin("binary-search")
-        a = measure(target, {"x": 1024}, CFG)
-        b = measure(target, {"x": 1024}, CFG)
+        a = measure_point(target, {"x": 1024}, CFG)
+        b = measure_point(target, {"x": 1024}, CFG)
         spread = max(a.dispersion, b.dispersion, 0.02)
         assert abs(a.cpu_seconds - b.cpu_seconds) <= 4 * spread
 
@@ -158,7 +162,7 @@ class TestMeasureBuiltin:
         monkeypatch.setattr(profiler, "_cpu_clock", lambda: next(ticks))
         target = TargetSpec.for_builtin("binary-search")
         with pytest.warns(TimerResolutionWarning):
-            measure(target, {"x": 4}, CFG)
+            measure_point(target, {"x": 4}, CFG)
 
     @pytest.mark.parametrize("run_seconds, warns", [(0.05, True), (0.2, False)])
     def test_resolution_warning_uses_measured_tick(self, monkeypatch, run_seconds, warns):
@@ -170,7 +174,7 @@ class TestMeasureBuiltin:
         target = TargetSpec.for_builtin("merge-sort")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            sample = measure(target, {"x": 4}, CFG)
+            sample = measure_point(target, {"x": 4}, CFG)
         assert sample.cpu_seconds == pytest.approx(run_seconds)
         assert any(issubclass(w.category, TimerResolutionWarning) for w in caught) == warns
 
@@ -185,7 +189,7 @@ class TestMeasureBuiltin:
         target = TargetSpec(profiler.TargetKind.BUILTIN, "broken", builtin.args,
                             builtin=targets.BuiltinTarget("broken", builtin.args, **parts))
         with pytest.raises(TargetFailure, match="builtin broken raised: boom"):
-            measure(target, {"x": 4}, CFG)
+            measure_point(target, {"x": 4}, CFG)
 
 
 class TestMeasureExternal:
@@ -204,19 +208,19 @@ class TestMeasureExternal:
 
     def test_success_and_clock_recorded(self, script):
         target = TargetSpec.for_command([sys.executable, str(script)], ["x"])
-        sample = measure(target, {"x": 5}, CFG)
+        sample = measure_point(target, {"x": 5}, CFG)
         assert sample.cpu_seconds >= 0.0
         assert sample.clock in ("process-cpu", "wall")
 
     def test_nonzero_exit(self, script):
         target = TargetSpec.for_command([sys.executable, str(script)], ["x"])
         with pytest.raises(TargetFailure):
-            measure(target, {"x": -1}, CFG)
+            measure_point(target, {"x": -1}, CFG)
 
     def test_missing_binary(self):
         target = TargetSpec.for_command(["/nonexistent/binary"], ["x"])
         with pytest.raises(TargetFailure):
-            measure(target, {"x": 1}, CFG)
+            measure_point(target, {"x": 1}, CFG)
 
     def test_stdout_is_not_kept(self, tmp_path):
         script = tmp_path / "loud.py"
@@ -224,7 +228,7 @@ class TestMeasureExternal:
         target = TargetSpec.for_command([sys.executable, str(script)], ["x"])
         tracemalloc.start()
         try:
-            measure(target, {"x": 1}, CFG)
+            measure_point(target, {"x": 1}, CFG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,18 +239,18 @@ class TestMeasureExternal:
         script.write_text("import sys\nprint('out')\nsys.exit('bad input')\n")
         target = TargetSpec.for_command([sys.executable, str(script)], ["x"])
         with pytest.raises(TargetFailure, match="exited 1: bad input$"):
-            measure(target, {"x": 1}, CFG)
+            measure_point(target, {"x": 1}, CFG)
 
     def test_empty_stderr_leaves_no_separator(self):
         target = TargetSpec.for_command([sys.executable, "-c", "import sys; sys.exit(3)"], ["x"])
         with pytest.raises(TargetFailure, match="exited 3$"):
-            measure(target, {"x": 1}, CFG)
+            measure_point(target, {"x": 1}, CFG)
 
     def test_other_exception_is_target_failure(self):
         # subprocess.run raises ValueError, not OSError, for a NUL in argv
         target = TargetSpec.for_command(["pro\0g"], ["x"])
         with pytest.raises(TargetFailure, match="external pro\0g raised: embedded null byte"):
-            measure(target, {"x": 1}, CFG)
+            measure_point(target, {"x": 1}, CFG)
 
 
 class TestSweepSingle:
@@ -278,6 +282,13 @@ class TestSweepSingle:
         np.testing.assert_allclose(sweep.series.xs, [1, 2, 3])
         np.testing.assert_allclose(sweep.series.ys, [6, 8, 10])
 
+    def test_pin_of_the_swept_variable_is_dropped(self):
+        target = synthetic("f", lambda x, b: float(2 * x + b), ["x", "b"])
+        sweep = sweep_single(target, "x", [1, 2, 3], {"x": 9, "b": 4}, CFG)
+        assert sweep.fixed_values == {"b": 4}
+        assert [s.args for s in sweep.samples] == [{"b": 4, "x": x} for x in (1, 2, 3)]
+        np.testing.assert_allclose(sweep.series.ys, [6, 8, 10])
+
     def test_interleaved_repetition_order(self, monkeypatch):
         calls = []
         target = TargetSpec.for_builtin("binary-search")
@@ -294,7 +305,7 @@ class TestSweepSingle:
         assert [x for _, x in calls[:3]] == [1, 2, 3]
 
         calls.clear()
-        measure(target, {"x": 5}, cfg)
+        measure_point(target, {"x": 5}, cfg)
         assert calls == [(rep, 5) for rep in range(cfg.warmup_runs + cfg.repetitions)]
 
     def test_one_runner_per_measurement(self, monkeypatch):
@@ -304,7 +315,7 @@ class TestSweepSingle:
                             lambda t, cfg: chosen.append(t.name) or runner(t, cfg))
         target = synthetic("f", lambda x: float(x), ["x"])
         sweep_single(target, "x", [1, 2, 3], {}, CFG)
-        measure(target, {"x": 5}, CFG)
+        measure_point(target, {"x": 5}, CFG)
         assert chosen == ["f", "f"]
 
     def test_synthetic_sweep_runs_every_repetition(self):
@@ -525,8 +536,13 @@ class TestBuildRuntimeProfile:
         # end of the second variable's grid
         calls = []
         sweep = profiler.sweep_single
-        monkeypatch.setattr(profiler, "sweep_single", lambda target, variable, grid, fixed, cfg:
-                            calls.append((variable, fixed)) or sweep(target, variable, grid, fixed, cfg))
+
+        def record(target, variable, grid, fixed, cfg):
+            result = sweep(target, variable, grid, fixed, cfg)
+            calls.append((variable, result.fixed_values))
+            return result
+
+        monkeypatch.setattr(profiler, "sweep_single", record)
         fn, variables, floors, grids = PAIR_TARGETS["tri"]
         build_runtime_profile(synthetic("tri", fn, variables, min_values=floors), grids, CFG)
         assert calls == [
@@ -706,7 +722,7 @@ class TestBatchScale:
         monkeypatch.setattr(targets, "_effective_tick", tick)
         ticks = itertools.count(0.0, 0.2)
         monkeypatch.setattr(profiler, "_cpu_clock", lambda: next(ticks))
-        sample = measure(TargetSpec.for_builtin("merge-sort"), {"x": x}, CFG)
+        sample = measure_point(TargetSpec.for_builtin("merge-sort"), {"x": x}, CFG)
         assert sample.cpu_seconds == pytest.approx(reported)
 
     @pytest.mark.parametrize("x, run_seconds, warns", [
@@ -719,7 +735,7 @@ class TestBatchScale:
         monkeypatch.setattr(profiler, "_cpu_clock", lambda: next(ticks))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            measure(TargetSpec.for_builtin("merge-sort"), {"x": x}, CFG)
+            measure_point(TargetSpec.for_builtin("merge-sort"), {"x": x}, CFG)
         assert any(issubclass(w.category, TimerResolutionWarning) for w in caught) == warns
 
     def test_one_batch_per_profile(self, monkeypatch):
@@ -759,26 +775,26 @@ class TestBuiltinTimingInvariants:
     def test_binary_search_cheapest_run_clears_resolution_margin(self):
         # x = 64, the cheapest default-grid point, stays well clear of the
         # resolution warning at this process's batch scale.  Batches are
-        # sized for clocks up to FULL_BATCH_TICK; a coarser clock keeps the
-        # full batch and reads the cheapest points in fewer steps
-        if profiler.effective_clock_tick() > targets.FULL_BATCH_TICK:
-            pytest.skip("clock coarser than FULL_BATCH_TICK keeps the full batch")
+        # sized for fine clocks; a coarse clock keeps the full batch and
+        # reads the cheapest points in fewer steps
+        if targets.batch_scale() == 1.0:
+            pytest.skip("a coarse clock keeps the full batch")
         target = TargetSpec.for_builtin("binary-search")
         with warnings.catch_warnings():
             warnings.simplefilter("error", TimerResolutionWarning)
-            sample = measure(target, {"x": 64}, MeasureConfig(repetitions=5))
+            sample = measure_point(target, {"x": 64}, MeasureConfig(repetitions=5))
         floor = 4 * profiler.RESOLUTION_MARGIN * profiler.effective_clock_tick()
         assert sample.cpu_seconds >= floor
 
     def test_merge_sort_cheapest_run_clears_resolution_margin(self):
         # x = 64 makes enough sorts on a fine clock that its raw run, not
         # only the time it reports, stays well clear of the warning
-        if profiler.effective_clock_tick() > targets.FULL_BATCH_TICK:
-            pytest.skip("clock coarser than FULL_BATCH_TICK keeps the full batch")
+        if targets.batch_scale() == 1.0:
+            pytest.skip("a coarse clock keeps the full batch")
         target = TargetSpec.for_builtin("merge-sort")
         with warnings.catch_warnings():
             warnings.simplefilter("error", TimerResolutionWarning)
-            sample = measure(target, {"x": 64}, MeasureConfig(repetitions=5))
+            sample = measure_point(target, {"x": 64}, MeasureConfig(repetitions=5))
         _, _, factor = target.builtin.setup({"x": 64}, np.random.default_rng(0))
         floor = 4 * profiler.RESOLUTION_MARGIN * profiler.effective_clock_tick()
         assert sample.cpu_seconds / factor >= floor
